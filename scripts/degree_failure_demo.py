@@ -11,7 +11,6 @@ Prints one CSV row per trial with the largest-component fractions.
 import argparse
 import sys
 
-from geoperc.experiments import ExperimentConfig  # noqa: F401 (kept for config parity)
 from geoperc.failures import ThresholdAttack, apply_failures, degree_margin_rule
 from geoperc.geometry import Region, generate_uniform
 from geoperc.graph import build_graph, components

@@ -4,6 +4,12 @@ Adjacency is built with a uniform spatial grid whose cell side is at least the
 connection radius, so candidate pairs only come from 3x3 cell neighborhoods.
 Two nodes are adjacent iff their distance is <= radius (ties included), using
 the wrap-around metric on a torus region.
+
+Each block of cell pairs keeps only its pairs within radius, as both directed
+keys ``a * n + b`` and ``b * n + a``. One sort of all keys gives the layout:
+``indices`` are the key destinations in order, ``indptr`` counts the sources,
+and rows with ``a < b`` are ``edges``. Only a torus with fewer than 3 cells on
+an axis can revisit a cell pair, so only there are the keys deduplicated.
 """
 
 from __future__ import annotations
@@ -49,10 +55,6 @@ class SpatialGraph:
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
-    @property
-    def adjacency(self) -> list[np.ndarray]:
-        return [self.neighbors(i) for i in range(len(self))]
-
     def mean_degree(self) -> float:
         return float(self.degrees.mean()) if len(self) else 0.0
 
@@ -73,81 +75,78 @@ def _block_pairs(a_starts, a_counts, b_starts, b_counts):
     return left, right
 
 
+def _candidate_pairs(ucell, ustart, ucount, ncx, ncy, torus):
+    """Cell-sorted positions of candidate pairs: within cells, then per half-offset."""
+    left, right = _block_pairs(ustart, ucount, ustart, ucount)
+    keep = left < right
+    yield left[keep], right[keep]
+
+    ucy, ucx = np.divmod(ucell, ncx)
+    for dx, dy in _HALF_OFFSETS:
+        nx = ucx + dx
+        ny = ucy + dy
+        if torus:
+            nx %= ncx
+            ny %= ncy
+            # on a 1-cell axis the offset maps a cell onto itself, whose
+            # pairs the within-cell block already has
+            valid = (nx != ucx) | (ny != ucy)
+        else:
+            valid = (nx >= 0) & (nx < ncx) & (ny >= 0) & (ny < ncy)
+        nid = ny * ncx + nx
+        pos = np.searchsorted(ucell, nid[valid])
+        pos = np.minimum(pos, len(ucell) - 1)
+        found = ucell[pos] == nid[valid]
+        a = np.flatnonzero(valid)[found]
+        b = pos[found]
+        yield _block_pairs(ustart[a], ucount[a], ustart[b], ucount[b])
+
+
 def build_graph(points: PointSet, radius: float = 1.0) -> SpatialGraph:
     """Connect every pair of points at distance <= radius."""
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not (radius > 0 and np.isfinite(radius)):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     region = points.region
     n = len(points)
-    coords = points.coordinates
     torus = region.boundary == TORUS
+    key = np.empty(0, dtype=np.int64)
 
     if n >= 2:
-        ncx = max(1, int(region.width / radius))
-        ncy = max(1, int(region.height / radius))
+        # at most 2**31 cells per axis keep cell ids within int64; fewer cells
+        # are only larger, which the 3x3 scan still covers
+        ncx = max(1, int(min(region.width / radius, 2**31)))
+        ncy = max(1, int(min(region.height / radius, 2**31)))
+        coords = points.coordinates
         ix = np.minimum((coords[:, 0] * (ncx / region.width)).astype(np.int64), ncx - 1)
         iy = np.minimum((coords[:, 1] * (ncy / region.height)).astype(np.int64), ncy - 1)
         cell = iy * ncx + ix
 
         order = np.argsort(cell, kind="stable")
+        x, y = coords[order].T.copy()
         ucell, ustart, ucount = np.unique(cell[order], return_index=True, return_counts=True)
-        ucx = ucell % ncx
-        ucy = ucell // ncx
 
-        left, right = _block_pairs(ustart, ucount, ustart, ucount)
-        keep = left < right
-        lefts = [left[keep]]
-        rights = [right[keep]]
-
-        for dx, dy in _HALF_OFFSETS:
-            nx = ucx + dx
-            ny = ucy + dy
+        r2 = radius * radius
+        keys = []
+        for left, right in _candidate_pairs(ucell, ustart, ucount, ncx, ncy, torus):
+            dx = np.abs(x[left] - x[right])
+            dy = np.abs(y[left] - y[right])
             if torus:
-                nx %= ncx
-                ny %= ncy
-                valid = np.ones(len(ucell), dtype=bool)
-            else:
-                valid = (nx >= 0) & (nx < ncx) & (ny >= 0) & (ny < ncy)
-            nid = ny * ncx + nx
-            pos = np.searchsorted(ucell, nid[valid])
-            pos = np.minimum(pos, len(ucell) - 1)
-            found = ucell[pos] == nid[valid]
-            a = np.flatnonzero(valid)[found]
-            b = pos[found]
-            l, r = _block_pairs(ustart[a], ucount[a], ustart[b], ucount[b])
-            lefts.append(l)
-            rights.append(r)
+                dx = np.minimum(dx, region.width - dx)
+                dy = np.minimum(dy, region.height - dy)
+            close = dx * dx + dy * dy <= r2
+            a = order[left[close]]
+            b = order[right[close]]
+            keys += (a * n + b, b * n + a)
+        key = np.concatenate(keys)
+        # wrap-around offsets revisit a cell pair only on a torus axis with < 3 cells
+        key = np.unique(key) if torus and min(ncx, ncy) < 3 else np.sort(key)
 
-        i = order[np.concatenate(lefts)]
-        j = order[np.concatenate(rights)]
-
-        dx = np.abs(coords[i, 0] - coords[j, 0])
-        dy = np.abs(coords[i, 1] - coords[j, 1])
-        if torus:
-            dx = np.minimum(dx, region.width - dx)
-            dy = np.minimum(dy, region.height - dy)
-        close = (dx * dx + dy * dy <= radius * radius) & (i != j)
-        i, j = i[close], j[close]
-
-        u = np.minimum(i, j)
-        v = np.maximum(i, j)
-        # unique also drops duplicates produced by wrap-around on tiny grids
-        key = np.unique(u.astype(np.int64) * n + v)
-        u = (key // n).astype(np.int64)
-        v = (key % n).astype(np.int64)
-        edges = np.column_stack([u, v])
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-        u = v = np.empty(0, dtype=np.int64)
-
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    degrees = np.bincount(src, minlength=n).astype(np.int64)
-    indptr = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
-    ordr = np.lexsort((dst, src))
-    indices = dst[ordr].astype(np.int64)
-
-    return SpatialGraph(points, float(radius), indptr, indices, edges, degrees)
+    src, dst = np.divmod(key, n)
+    degrees = np.bincount(src, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(degrees)))
+    forward = src < dst
+    edges = np.column_stack((src[forward], dst[forward]))
+    return SpatialGraph(points, float(radius), indptr, dst, edges, degrees)
 
 
 @dataclass(frozen=True)

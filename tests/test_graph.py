@@ -21,10 +21,35 @@ def test_distance_ties_are_adjacent():
     assert g.edge_count == 0
 
 
+def _assert_canonical_layout(g, pts, radius):
+    """Edges equal the oracle's, sorted with u < v; CSR and degrees follow from them."""
+    n = len(pts)
+    for name in ("indptr", "indices", "edges", "degrees"):
+        assert getattr(g, name).dtype == np.int64
+    assert [tuple(e) for e in g.edges.tolist()] == sorted(brute_force_edges(pts, radius))
+    nbrs = [[] for _ in range(n)]
+    for u, v in g.edges.tolist():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    nbrs = [sorted(a) for a in nbrs]
+    assert g.degrees.tolist() == [len(a) for a in nbrs]
+    assert g.indptr.tolist() == np.cumsum([0] + [len(a) for a in nbrs]).tolist()
+    assert g.indices.tolist() == [v for a in nbrs for v in a]
+    for i in range(n):
+        assert (np.diff(g.neighbors(i)) > 0).all()
+
+
 def test_invalid_radius_rejected():
     pts = generate_uniform(5, Region(5.0, 5.0), seed=1)
     with pytest.raises(ValueError):
         build_graph(pts, 0.0)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+def test_non_finite_radius_rejected(radius):
+    pts = generate_uniform(5, Region(5.0, 5.0), seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        build_graph(pts, radius)
 
 
 def test_adjacency_matches_brute_force_oracle():
@@ -39,19 +64,38 @@ def test_adjacency_matches_brute_force_oracle():
     n=st.integers(0, 120),
     boundary=st.sampled_from([OPEN_BOX, TORUS]),
     radius=st.floats(0.3, 2.5),
-    side=st.floats(3.0, 12.0),
+    width=st.floats(3.0, 12.0),
+    height=st.floats(3.0, 12.0),
 )
-def test_grid_equals_brute_force_property(seed, n, boundary, radius, side):
-    pts = generate_uniform(n, Region(side, side, boundary), seed=seed)
-    g = build_graph(pts, radius)
-    assert {tuple(e) for e in g.edges.tolist()} == brute_force_edges(pts, radius)
-    # adjacency symmetric, no self loops, degrees consistent
-    for i in range(n):
-        nbrs = g.neighbors(i)
-        assert i not in nbrs
-        assert g.degrees[i] == len(nbrs)
-        for j in nbrs.tolist():
-            assert i in g.neighbors(j)
+def test_grid_equals_brute_force_property(seed, n, boundary, radius, width, height):
+    pts = generate_uniform(n, Region(width, height, boundary), seed=seed)
+    _assert_canonical_layout(build_graph(pts, radius), pts, radius)
+
+
+@pytest.mark.parametrize("boundary", [OPEN_BOX, TORUS])
+@pytest.mark.parametrize("cells", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 5), (2, 6), (3, 3)])
+def test_tiny_grids_canonical_layout(cells, boundary):
+    # radius 1 gives int(side) cells per axis; on a torus, wrap-around offsets
+    # revisit cell pairs and map a 1-cell axis onto itself
+    region = Region(cells[0] + 0.5, cells[1] + 0.5, boundary)
+    for seed in range(4):
+        pts = generate_uniform(50, region, seed=seed)
+        _assert_canonical_layout(build_graph(pts, 1.0), pts, 1.0)
+
+
+@settings(max_examples=20)
+@given(
+    seed=st.integers(0, 2**32),
+    side=st.sampled_from([1e10, 1e12, 1e15]),
+    boundary=st.sampled_from([OPEN_BOX, TORUS]),
+)
+def test_extreme_width_radius_ratio_matches_brute_force(seed, side, boundary):
+    # (side / radius)**2 cells would overflow int64 cell ids
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(0.0, side, size=2)
+    coords = np.clip(center + rng.uniform(-0.3, 0.3, size=(40, 2)), 0.0, side)
+    pts = PointSet(coords, Region(side, side, boundary), len(coords) / side**2)
+    _assert_canonical_layout(build_graph(pts, 0.1), pts, 0.1)
 
 
 def test_graph_determinism(medium_graph):
