@@ -65,7 +65,7 @@ def _document(command: str, params: dict, seed: int | None, payload: dict) -> di
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -104,11 +104,11 @@ def _cmd_generate(args) -> int:
     if args.out:
         save_graph(graph, args.out, meta=meta)
         print(json.dumps({**meta, "nodes": len(graph), "edges": graph.edge_count,
-                          "out": args.out}))
+                          "out": args.out}, allow_nan=False))
     else:
         from .io import graph_to_dict
 
-        print(json.dumps(graph_to_dict(graph, meta=meta)))
+        print(json.dumps(graph_to_dict(graph, meta=meta), allow_nan=False))
     return 0
 
 

@@ -16,14 +16,13 @@ import numpy as np
 from .cascade import (
     ThresholdDistribution,
     classify,
-    components,
     distribution_to_text,
     parse_distribution,
     run_cascade,
 )
 from .failures import FailureRule, IndependentFailure, apply_failures, parse_rule
 from .geometry import OPEN_BOX, Region, generate_poisson, generate_uniform
-from .graph import SpatialGraph, build_graph, crosses
+from .graph import SpatialGraph, build_graph, components, crosses
 from .seeding import (
     STREAM_FAILURES,
     STREAM_PLACEMENT,
@@ -182,6 +181,21 @@ def trial_seeds(config: ExperimentConfig, point_index: int) -> list[int]:
     ]
 
 
+def _hit_rate(
+    config: ExperimentConfig, lam: float, rule: FailureRule | None, point_index: int
+) -> float:
+    """Mean proxy indicator over the trials of one grid point or evaluation."""
+    hits = 0.0
+    for trial_seed in trial_seeds(config, point_index):
+        graph = _trial_graph(config, lam, trial_seed)
+        if rule is None:
+            alive = np.ones(len(graph), dtype=bool)
+        else:
+            alive = apply_failures(graph, rule, substream(trial_seed, STREAM_FAILURES)).alive
+        hits += _proxy_indicator(config, graph, alive)
+    return hits / config.trials
+
+
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Per grid point: `trials` independent instances, aggregated to a Bernoulli
     estimate with its binomial standard error. Deterministic given base_seed."""
@@ -190,15 +204,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     for p_idx, params in enumerate(points):
         lam = params["lambda"]
         rule = parse_rule(params["rule"]) if "rule" in params else None
-        hits = 0.0
-        for t_idx, trial_seed in enumerate(trial_seeds(config, p_idx)):
-            graph = _trial_graph(config, lam, trial_seed)
-            if rule is None:
-                alive = np.ones(len(graph), dtype=bool)
-            else:
-                alive = apply_failures(graph, rule, substream(trial_seed, STREAM_FAILURES)).alive
-            hits += _proxy_indicator(config, graph, alive)
-        est = hits / config.trials
+        est = _hit_rate(config, lam, rule, p_idx)
         stderr = float(np.sqrt(est * (1.0 - est) / config.trials))
         results.append(PointResult(params, est, stderr, config.trials))
     return SweepResult(config, tuple(results))
@@ -227,21 +233,6 @@ class BisectionResult:
             "trials": self.trials,
             "base_seed": self.base_seed,
         }
-
-
-def _crossing_probability(
-    config: ExperimentConfig, lam: float, rule: FailureRule | None, eval_index: int
-) -> float:
-    hits = 0.0
-    for t_idx in range(config.trials):
-        trial_seed = derive_seed(config.base_seed, eval_index, t_idx, config.trials)
-        graph = _trial_graph(config, lam, trial_seed)
-        if rule is None:
-            alive = np.ones(len(graph), dtype=bool)
-        else:
-            alive = apply_failures(graph, rule, substream(trial_seed, STREAM_FAILURES)).alive
-        hits += _proxy_indicator(config, graph, alive)
-    return hits / config.trials
 
 
 def estimate_lambda_c(
@@ -277,7 +268,7 @@ def estimate_lambda_c(
 
     def evaluate(lam: float) -> float:
         nonlocal eval_index
-        p = _crossing_probability(config, lam, None, eval_index)
+        p = _hit_rate(config, lam, None, eval_index)
         evals.append((lam, p))
         eval_index += 1
         return p
@@ -331,7 +322,7 @@ def estimate_qc(
 
     def evaluate(q: float) -> float:
         nonlocal eval_index
-        p = _crossing_probability(config, lam, IndependentFailure(q), eval_index)
+        p = _hit_rate(config, lam, IndependentFailure(q), eval_index)
         evals.append((q, p))
         eval_index += 1
         return p
@@ -439,8 +430,4 @@ def run_cascade_trial(config: ExperimentConfig, trial_seed: int) -> CascadeTrial
 def run_cascade_trials(config: ExperimentConfig) -> tuple[CascadeTrialRecord, ...]:
     if config.kind != "cascade-trial":
         raise ValueError(f"expected a cascade-trial config, got kind {config.kind!r}")
-    records = []
-    for t_idx in range(config.trials):
-        trial_seed = derive_seed(config.base_seed, 0, t_idx, config.trials)
-        records.append(run_cascade_trial(config, trial_seed))
-    return tuple(records)
+    return tuple(run_cascade_trial(config, seed) for seed in trial_seeds(config, 0))

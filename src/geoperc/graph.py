@@ -10,6 +10,11 @@ keys ``a * n + b`` and ``b * n + a``. One sort of all keys gives the layout:
 ``indices`` are the key destinations in order, ``indptr`` counts the sources,
 and rows with ``a < b`` are ``edges``. Only a torus with fewer than 3 cells on
 an axis can revisit a cell pair, so only there are the keys deduplicated.
+
+Connectivity has one primitive, ``_component_roots``: every alive node gets the
+smallest node index of its component, by min-label hooking and pointer jumping
+over the alive edges (Shiloach & Vishkin, J. Algorithms 3, 1982). Component
+labels rank those roots; a crossing is a root shared by both edge strips.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TORUS, PointSet
-from .unionfind import UnionFind
 
 # Half of the 3x3 neighborhood: together with the within-cell pass, every
 # unordered pair of neighboring cells is visited exactly once.
@@ -159,36 +163,51 @@ class ComponentLabeling:
     largest_size: int
 
 
+def _component_roots(graph: SpatialGraph, alive: np.ndarray) -> np.ndarray:
+    """Per node, the smallest node index of its component among the alive nodes.
+
+    Each sweep hooks the larger root of every edge whose ends have different
+    roots onto the smaller one, then jumps pointers until every node points at
+    a root. Roots only decrease, and an edge whose ends share a root keeps
+    sharing it, so later sweeps visit only the edges still split. Dead nodes
+    are their own roots.
+    """
+    root = np.arange(len(graph))
+    e = graph.edges
+    both = alive[e[:, 0]] & alive[e[:, 1]]
+    u, v = e[both, 0], e[both, 1]
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not split.any():
+            return root
+        u, v, ru, rv = u[split], v[split], ru[split], rv[split]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+
 def components(graph: SpatialGraph, alive) -> ComponentLabeling:
-    """Union-find over edges whose endpoints are both alive."""
+    """Components of the alive nodes, numbered in the order of their smallest node."""
     n = len(graph)
     alive = np.asarray(alive, dtype=bool)
     if alive.shape != (n,):
         raise ValueError(f"alive mask length {alive.shape} does not match node count {n}")
 
-    uf = UnionFind(n)
-    e = graph.edges
-    if len(e):
-        both = alive[e[:, 0]] & alive[e[:, 1]]
-        for a, b in zip(e[both, 0].tolist(), e[both, 1].tolist()):
-            uf.union(a, b)
-
+    roots = _component_roots(graph, alive)
+    _, inverse, sizes = np.unique(roots[alive], return_inverse=True, return_counts=True)
     labels = np.full(n, -1, dtype=np.int64)
-    root_to_id: dict[int, int] = {}
-    for i in np.flatnonzero(alive).tolist():
-        r = uf.find(i)
-        cid = root_to_id.setdefault(r, len(root_to_id))
-        labels[i] = cid
-
-    if root_to_id:
-        sizes = np.bincount(labels[alive], minlength=len(root_to_id)).astype(np.int64)
+    labels[alive] = inverse
+    if sizes.size:
         largest_id = int(np.argmax(sizes))
         largest_size = int(sizes[largest_id])
     else:
-        sizes = np.zeros(0, dtype=np.int64)
         largest_id = -1
         largest_size = 0
-    return ComponentLabeling(labels, sizes, largest_id, largest_size)
+    return ComponentLabeling(labels, sizes.astype(np.int64), largest_id, largest_size)
 
 
 def _expand_frontier(graph: SpatialGraph, frontier: np.ndarray) -> np.ndarray:
@@ -222,8 +241,6 @@ def crosses(graph: SpatialGraph, alive, rect, direction: str = "left-right") -> 
     alive = np.asarray(alive, dtype=bool)
     if alive.shape != (n,):
         raise ValueError(f"alive mask length {alive.shape} does not match node count {n}")
-    if n == 0:
-        return False
 
     coords = graph.points.coordinates
     x, y = coords[:, 0], coords[:, 1]
@@ -237,18 +254,7 @@ def crosses(graph: SpatialGraph, alive, rect, direction: str = "left-right") -> 
     end = inside & (hi - c > 0) & (hi - c < r)
     if not start.any() or not end.any():
         return False
-    if (start & end).any():
-        return True
-
-    visited = start.copy()
-    frontier = np.flatnonzero(start)
-    while frontier.size:
-        nbrs = _expand_frontier(graph, frontier)
-        fresh = nbrs[inside[nbrs] & ~visited[nbrs]]
-        if fresh.size == 0:
-            return False
-        visited[fresh] = True
-        if end[fresh].any():
-            return True
-        frontier = np.unique(fresh)
-    return False
+    roots = _component_roots(graph, inside)
+    start_root = np.zeros(n, dtype=bool)
+    start_root[roots[start]] = True
+    return bool(start_root[roots[end]].any())

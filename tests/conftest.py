@@ -27,26 +27,59 @@ def brute_force_edges(points, radius):
     }
 
 
-def bfs_component_sizes(graph, alive):
-    """Reference component sizes via plain breadth-first search."""
+def bfs_component_labels(graph, alive):
+    """Reference labels via plain breadth-first search: components numbered in
+    the order of their smallest alive node, -1 on dead nodes."""
     n = len(graph)
-    seen = [False] * n
-    sizes = []
+    labels = [-1] * n
+    count = 0
     for s in range(n):
-        if seen[s] or not alive[s]:
+        if labels[s] >= 0 or not alive[s]:
             continue
         queue = [s]
-        seen[s] = True
-        size = 0
+        labels[s] = count
         while queue:
             u = queue.pop()
-            size += 1
             for v in graph.neighbors(u).tolist():
-                if alive[v] and not seen[v]:
-                    seen[v] = True
+                if alive[v] and labels[v] < 0:
+                    labels[v] = count
                     queue.append(v)
-        sizes.append(size)
-    return sorted(sizes)
+        count += 1
+    return labels
+
+
+def bfs_component_sizes(graph, alive):
+    """Reference component sizes via plain breadth-first search."""
+    labels = bfs_component_labels(graph, alive)
+    return sorted(labels.count(c) for c in range(max(labels, default=-1) + 1))
+
+
+def bfs_crosses(graph, alive, rect, direction):
+    """Reference crossing test: breadth-first search over the alive nodes inside
+    rect, from the start strip to the end strip (both open, of width radius)."""
+    x1, y1, x2, y2 = rect
+    r = graph.radius
+    inside, start, end = set(), set(), set()
+    for i, (x, y) in enumerate(graph.points.coordinates.tolist()):
+        if not (alive[i] and x1 <= x <= x2 and y1 <= y <= y2):
+            continue
+        inside.add(i)
+        c, lo, hi = (x, x1, x2) if direction == "left-right" else (y, y1, y2)
+        if 0 < c - lo < r:
+            start.add(i)
+        if 0 < hi - c < r:
+            end.add(i)
+    seen = set(start)
+    queue = list(start)
+    while queue:
+        u = queue.pop()
+        if u in end:
+            return True
+        for v in graph.neighbors(u).tolist():
+            if v in inside and v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return False
 
 
 @pytest.fixture(scope="session")

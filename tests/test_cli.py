@@ -26,6 +26,13 @@ def test_critical_q_output(capsys):
     assert doc["version"] == geoperc.__version__
 
 
+def test_non_finite_output_is_an_error_not_nan_json(capsys):
+    code, out, err = run_cli(capsys, "theory", "critical-q", "--lambda", "nan")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_critical_phi_output(capsys):
     code, out, _ = run_cli(capsys, "theory", "critical-phi", "--lambda", "10")
     assert code == 0

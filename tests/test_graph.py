@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoperc.geometry import OPEN_BOX, TORUS, PointSet, Region, generate_uniform
+from geoperc.geometry import OPEN_BOX, TORUS, PointSet, Region, generate_poisson, generate_uniform
 from geoperc.graph import build_graph, components, crosses
 
-from conftest import bfs_component_sizes, brute_force_edges
+from conftest import bfs_component_labels, bfs_crosses, brute_force_edges
 
 
 def _graph_from_coords(coords, width=10.0, height=10.0, radius=1.0, boundary=OPEN_BOX):
@@ -120,20 +120,54 @@ def test_components_triangle():
 
 
 def test_components_match_bfs_oracle(medium_graph):
+    torus = build_graph(generate_uniform(300, Region(10.0, 10.0, TORUS), seed=3), 1.0)
     rng = np.random.default_rng(5)
-    for _ in range(5):
-        alive = rng.random(len(medium_graph)) < 0.7
-        lab = components(medium_graph, alive)
-        assert sorted(lab.sizes.tolist()) == bfs_component_sizes(medium_graph, alive)
-        assert lab.sizes.sum() == alive.sum()
-        # dead nodes keep the sentinel, alive nodes get real ids
-        assert (lab.labels[~alive] == -1).all()
-        assert (lab.labels[alive] >= 0).all()
+    for g in (medium_graph, torus):
+        for _ in range(5):
+            alive = rng.random(len(g)) < 0.7
+            lab = components(g, alive)
+            # ids follow the smallest alive node of each component; dead nodes carry -1
+            expected = bfs_component_labels(g, alive)
+            assert lab.labels.tolist() == expected
+            assert lab.sizes.tolist() == [expected.count(c) for c in range(len(lab.sizes))]
+            assert lab.largest_size == max(lab.sizes)
+            assert lab.largest_id == lab.sizes.tolist().index(lab.largest_size)
 
 
 def test_components_mask_length_checked(medium_graph):
     with pytest.raises(ValueError):
         components(medium_graph, np.ones(3, dtype=bool))
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.floats(0.8, 3.0),
+    side=st.floats(4.0, 14.0),
+    survival=st.floats(0.5, 1.0),
+)
+def test_crosses_match_bfs_oracle(seed, lam, side, survival):
+    g = build_graph(generate_poisson(lam, Region(side, side), seed=seed), 1.0)
+    rng = np.random.default_rng(seed)
+    alive = rng.random(len(g)) < survival
+    (x1, x2), (y1, y2) = np.sort(rng.uniform(0.0, side, (2, 2)), axis=1)
+    for rect in ((0.0, 0.0, side, side), (x1, y1, x2, y2)):
+        for direction in ("left-right", "top-bottom"):
+            expected = bfs_crosses(g, alive, rect, direction)
+            assert crosses(g, alive, rect, direction) is expected
+
+
+def test_crosses_degenerate_graphs_match_bfs_oracle():
+    empty = _graph_from_coords(np.empty((0, 2)))
+    # a 5x5 lattice of spacing 2 has no edges at radius 1
+    lattice = _graph_from_coords([[x, y] for x in range(1, 10, 2) for y in range(1, 10, 2)])
+    assert lattice.edge_count == 0
+    rects = ((0, 0, 10, 10), (0.5, 0.5, 1.5, 9.5), (2.5, 0, 3.5, 10), (0, 4.2, 10, 5.8))
+    for g in (empty, lattice):
+        alive = np.ones(len(g), bool)
+        for rect in rects:
+            for direction in ("left-right", "top-bottom"):
+                assert crosses(g, alive, rect, direction) is bfs_crosses(g, alive, rect, direction)
 
 
 def test_crosses_empty_graph():
