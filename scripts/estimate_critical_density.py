@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Estimate the critical density by bisecting the crossing probability.
 
-Emits one JSON document with the bracketing interval and every evaluation,
-ready for plotting the empirical transition curve.
+Emits one JSON document with the bracketing interval, every evaluation and
+the per-trial critical densities, ready for plotting the empirical transition
+curve.
 """
 
 import argparse
@@ -22,7 +23,7 @@ def main():
     result = estimate_lambda_c(
         side=args.side, trials=args.trials, base_seed=args.seed, target_width=args.width
     )
-    print(json.dumps(result.to_dict(), indent=2))
+    print(json.dumps(result.to_dict(), indent=2, allow_nan=False))
 
 
 if __name__ == "__main__":

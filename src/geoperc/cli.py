@@ -324,10 +324,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every float option, by argparse destination; a non-finite value is rejected
+# before any work is done.
+_FLOAT_FLAGS = {
+    "lam": "--lambda", "side": "--side", "radius": "--radius", "width": "--width",
+    "height": "--height", "bracket_low": "--bracket-low", "bracket_high": "--bracket-high",
+    "d": "--d", "lambda_c": "--lambda-c", "tolerance": "--tolerance",
+}
+
+
+def _check_finite(args) -> None:
+    for dest, flag in _FLOAT_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be a finite number, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

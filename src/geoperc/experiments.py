@@ -5,11 +5,21 @@ Every trial draws its seed as splitmix64(splitmix64(base_seed) + point * trials
 are bit-reproducible. Trials are independent over immutable inputs and are
 reduced in (point, trial) order, so a parallel executor would produce the same
 output as this serial one.
+
+The critical-point estimators build one graph per trial and reduce it to one
+critical value (Newman & Ziff, PRL 85, 4104 (2000)). Independent failure keeps
+node i iff u_i >= q for one shared uniform u_i, so a trial crosses at q iff
+q <= q*, its largest crossing q. For the critical density, failure with
+q = 1 - lam/lam_max thins a lam_max Poisson graph to a lam one, giving
+lam* = lam_max (1 - q*). Each bisection evaluation is then the empirical CDF
+of the per-trial values: common random numbers, no graph built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -20,7 +30,7 @@ from .cascade import (
     parse_distribution,
     run_cascade,
 )
-from .failures import FailureRule, IndependentFailure, apply_failures, parse_rule
+from .failures import FailureRule, apply_failures, parse_rule
 from .geometry import OPEN_BOX, Region, generate_poisson, generate_uniform
 from .graph import SpatialGraph, build_graph, components, crosses
 from .seeding import (
@@ -34,7 +44,7 @@ from .seeding import (
 )
 from .theory import CriticalConstants, DEFAULT_CONSTANTS, SubcriticalDensityError
 
-KINDS = ("percolation-sweep", "failure-sweep", "cascade-trial", "lambda-c-estimate")
+KINDS = ("percolation-sweep", "failure-sweep", "cascade-trial")
 PROXIES = ("crossing", "giant-fraction")
 SEEDINGS = ("random-node", "adjacent-to-largest-vulnerable-component")
 COUNT_MODES = ("poisson", "fixed")
@@ -210,21 +220,64 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     return SweepResult(config, tuple(results))
 
 
+MEDIAN_CI_LEVEL = 0.95
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
+def _median_ci_rank(n: int) -> int | None:
+    """Largest 0-based rank j with P(B <= j) <= (1 - MEDIAN_CI_LEVEL) / 2 for
+    B ~ Binomial(n, 1/2), or None when even j = 0 is too likely.
+
+    The sorted sample's values at ranks j and n - 1 - j then enclose the
+    population median with probability at least MEDIAN_CI_LEVEL, whatever the
+    distribution. Exact in integers: P(B <= j) = sum_{i <= j} C(n, i) / 2**n.
+    """
+    bound = (1 - Fraction(MEDIAN_CI_LEVEL)) / 2 * 2**n
+    rank, term, mass = None, 1, 0
+    for j in range(n):
+        mass += term
+        if mass > bound:
+            return rank
+        rank = j
+        term = term * (n - j) // (j + 1)
+    return rank
+
+
 @dataclass(frozen=True)
 class BisectionResult:
-    """Bracketing interval from noisy bisection plus every evaluation made."""
+    """Bracketing interval from bisection plus every evaluation made, and the
+    per-trial critical values (in trial order) that every evaluation reads."""
 
     low: float
     high: float
     evaluations: tuple[tuple[float, float], ...]  # (parameter, estimate)
     trials: int
     base_seed: int
+    critical_values: tuple[float, ...]  # +-inf: the trial never crosses
 
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.low + self.high)
 
+    @property
+    def median(self) -> float:
+        return float(np.median(self.critical_values))
+
+    @property
+    def median_ci(self) -> tuple[float, float]:
+        """Distribution-free MEDIAN_CI_LEVEL interval for the median; infinite
+        bounds when there are too few trials for one."""
+        rank = _median_ci_rank(len(self.critical_values))
+        if rank is None:
+            return (-math.inf, math.inf)
+        ordered = sorted(self.critical_values)
+        return (ordered[rank], ordered[-1 - rank])
+
     def to_dict(self) -> dict:
+        ci_low, ci_high = self.median_ci
         return {
             "low": self.low,
             "high": self.high,
@@ -232,7 +285,89 @@ class BisectionResult:
             "evaluations": [list(e) for e in self.evaluations],
             "trials": self.trials,
             "base_seed": self.base_seed,
+            "critical_values": [_finite_or_none(v) for v in self.critical_values],
+            "median": _finite_or_none(self.median),
+            "median_ci": {
+                "level": MEDIAN_CI_LEVEL,
+                "low": _finite_or_none(ci_low),
+                "high": _finite_or_none(ci_high),
+            },
         }
+
+
+def _critical_q(graph: SpatialGraph, failure_seed: int, rect) -> float:
+    """Largest q at which the survivors of IndependentFailure(q) still cross rect
+    left-right, or -inf when the intact graph does not cross.
+
+    apply_failures keeps node i iff u_i >= q, with u drawn from failure_seed, so
+    survivors only shrink as q grows: the graph crosses at q iff q <= q*. The
+    survivor set changes only at the u_i, so q* is one of them; a binary search
+    over their sorted values finds it.
+    """
+    u = generator_from_seed(failure_seed).random(len(graph))
+    if not crosses(graph, np.ones(len(graph), dtype=bool), rect, "left-right"):
+        return -math.inf
+    levels = np.sort(u)
+    lo, hi = 0, len(levels)  # crosses with u >= levels[lo]; none left at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if crosses(graph, u >= levels[mid], rect, "left-right"):
+            lo = mid
+        else:
+            hi = mid
+    return float(levels[lo])
+
+
+def _trial_critical_qs(config: ExperimentConfig, lam: float) -> np.ndarray:
+    """q* of one density-lam graph per trial, in trial order."""
+    rect = (0.0, 0.0, config.width, config.height)
+    return np.array([
+        _critical_q(_trial_graph(config, lam, seed), substream(seed, STREAM_FAILURES), rect)
+        for seed in trial_seeds(config, 0)
+    ])
+
+
+def _bisect(p, lo: float, hi: float, target_width: float, rising: bool):
+    """Bisect to where p crosses 1/2; p must rise (or fall) across [lo, hi].
+
+    Returns the final bracket and every (parameter, p) evaluated, in order.
+    Stops early when lo and hi are adjacent floats, where no midpoint is left.
+    """
+    evals = []
+
+    def evaluate(x: float) -> float:
+        evals.append((x, p(x)))
+        return evals[-1][1]
+
+    p_lo = evaluate(lo)
+    p_hi = evaluate(hi)
+    if not (p_lo < 0.5 < p_hi if rising else p_lo > 0.5 > p_hi):
+        raise ValueError(
+            f"initial bracket does not straddle the transition: "
+            f"p({lo})={p_lo}, p({hi})={p_hi}"
+        )
+    while hi - lo > target_width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if (evaluate(mid) < 0.5) == rising:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, tuple(evals)
+
+
+def _estimator_config(lam: float, side: float, radius: float, trials: int, base_seed: int):
+    """The trial graphs of an estimator: one Poisson graph at density lam per trial."""
+    return ExperimentConfig(
+        kind="percolation-sweep",
+        width=side,
+        height=side,
+        radius=radius,
+        lambdas=(lam,),
+        trials=trials,
+        base_seed=base_seed,
+    )
 
 
 def estimate_lambda_c(
@@ -245,48 +380,25 @@ def estimate_lambda_c(
 ) -> BisectionResult:
     """Bisect the density at which the left-right crossing probability is 1/2.
 
-    The region side must be at least 50 radii; the returned interval has width
-    at most target_width and brackets the empirical transition point.
+    Each trial builds one graph at lam_max = bracket[1]. Independent failure
+    with q = 1 - lam/lam_max thins it to exactly a density-lam Poisson graph,
+    so the trial crosses at lam iff lam >= lam* = lam_max (1 - q*). The region
+    side must be at least 50 radii; the returned interval has width at most
+    target_width and brackets the empirical transition point.
     """
     if side < 50.0 * radius:
         raise ValueError(f"region side {side} must be at least 50 radii ({50.0 * radius})")
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"bracket {bracket} is not an interval")
-    config = ExperimentConfig(
-        kind="lambda-c-estimate",
-        width=side,
-        height=side,
-        radius=radius,
-        trials=trials,
-        base_seed=base_seed,
-        proxy="crossing",
-        count_mode="poisson",
+    if not target_width > 0:
+        raise ValueError(f"target_width must be positive, got {target_width}")
+    q_star = _trial_critical_qs(_estimator_config(hi, side, radius, trials, base_seed), hi)
+    low, high, evals = _bisect(
+        lambda lam: float(np.mean(1.0 - lam / hi <= q_star)), lo, hi, target_width, rising=True
     )
-    evals = []
-    eval_index = 0
-
-    def evaluate(lam: float) -> float:
-        nonlocal eval_index
-        p = _hit_rate(config, lam, None, eval_index)
-        evals.append((lam, p))
-        eval_index += 1
-        return p
-
-    p_lo = evaluate(lo)
-    p_hi = evaluate(hi)
-    if not (p_lo < 0.5 < p_hi):
-        raise ValueError(
-            f"initial bracket does not straddle the transition: "
-            f"p({lo})={p_lo}, p({hi})={p_hi}"
-        )
-    while hi - lo > target_width:
-        mid = 0.5 * (lo + hi)
-        if evaluate(mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return BisectionResult(lo, hi, tuple(evals), trials, base_seed)
+    lam_star = tuple((hi * (1.0 - q_star)).tolist())
+    return BisectionResult(low, high, evals, trials, base_seed, lam_star)
 
 
 def estimate_qc(
@@ -299,7 +411,10 @@ def estimate_qc(
     target_width: float = 0.02,
     constants: CriticalConstants = DEFAULT_CONSTANTS,
 ) -> BisectionResult:
-    """Bisect the independent-failure probability at which crossing drops to 1/2."""
+    """Bisect the independent-failure probability at which crossing drops to 1/2.
+
+    Each trial builds one graph and crosses at q iff q <= its q*.
+    """
     if lam <= constants.lambda_c:
         raise SubcriticalDensityError(
             f"lambda={lam} is not above the critical density {constants.lambda_c}"
@@ -307,40 +422,13 @@ def estimate_qc(
     lo, hi = bracket
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"bracket {bracket} is not an interval inside [0, 1]")
-    config = ExperimentConfig(
-        kind="lambda-c-estimate",
-        width=side,
-        height=side,
-        radius=radius,
-        trials=trials,
-        base_seed=base_seed,
-        proxy="crossing",
-        count_mode="poisson",
+    if not target_width > 0:
+        raise ValueError(f"target_width must be positive, got {target_width}")
+    q_star = _trial_critical_qs(_estimator_config(lam, side, radius, trials, base_seed), lam)
+    low, high, evals = _bisect(
+        lambda q: float(np.mean(q <= q_star)), lo, hi, target_width, rising=False
     )
-    evals = []
-    eval_index = 0
-
-    def evaluate(q: float) -> float:
-        nonlocal eval_index
-        p = _hit_rate(config, lam, IndependentFailure(q), eval_index)
-        evals.append((q, p))
-        eval_index += 1
-        return p
-
-    p_lo = evaluate(lo)
-    p_hi = evaluate(hi)
-    if not (p_lo > 0.5 > p_hi):
-        raise ValueError(
-            f"initial bracket does not straddle the transition: "
-            f"p({lo})={p_lo}, p({hi})={p_hi}"
-        )
-    while hi - lo > target_width:
-        mid = 0.5 * (lo + hi)
-        if evaluate(mid) >= 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return BisectionResult(lo, hi, tuple(evals), trials, base_seed)
+    return BisectionResult(low, high, evals, trials, base_seed, tuple(q_star.tolist()))
 
 
 @dataclass(frozen=True)

@@ -78,9 +78,9 @@ def graph_from_dict(doc: dict) -> SpatialGraph:
 
 
 def save_graph(graph: SpatialGraph, path: str, meta: dict | None = None) -> None:
+    text = json.dumps(graph_to_dict(graph, meta), allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(graph_to_dict(graph, meta), fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_graph(path: str) -> SpatialGraph:

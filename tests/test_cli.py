@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 import geoperc
-from geoperc.cli import main
+from geoperc.cli import _emit, main
+from geoperc.experiments import BisectionResult
 from geoperc.io import SchemaError, graph_from_dict, load_graph, save_graph
 from geoperc.geometry import Region, generate_uniform
 from geoperc.graph import build_graph
@@ -31,6 +33,64 @@ def test_non_finite_output_is_an_error_not_nan_json(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--side", ["estimate", "lambda-c", "--side", "inf", "--trials", "2"]),
+        ("--radius", ["estimate", "lambda-c", "--radius", "nan", "--trials", "2"]),
+        ("--width", ["estimate", "lambda-c", "--width", "nan", "--trials", "2"]),
+        ("--bracket-low", ["estimate", "lambda-c", "--bracket-low", "nan", "--trials", "2"]),
+        ("--bracket-high", ["estimate", "lambda-c", "--bracket-high", "inf", "--trials", "2"]),
+        ("--lambda", ["estimate", "qc", "--lambda", "nan", "--trials", "2"]),
+        ("--lambda", ["theory", "critical-q", "--lambda", "1e400"]),
+        ("--lambda-c", ["theory", "critical-q", "--lambda", "2", "--lambda-c", "nan"]),
+        ("--d", ["theory", "block-cap", "--lambda", "2", "--d", "nan"]),
+        ("--width", ["generate", "--n", "5", "--width", "inf", "--height", "5", "--seed", "1"]),
+        ("--height", ["generate", "--n", "5", "--width", "5", "--height", "nan", "--seed", "1"]),
+        ("--lambda", ["generate", "--lambda", "nan", "--width", "5", "--height", "5",
+                      "--seed", "1"]),
+        ("--radius", ["generate", "--n", "5", "--width", "5", "--height", "5",
+                      "--radius", "inf", "--seed", "1"]),
+    ],
+)
+def test_non_finite_flag_rejected_by_name(capsys, flag, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be a finite number"), err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_censored_trials_emit_null(capsys):
+    result = BisectionResult(1.4, 1.41, ((1.0, 0.0), (2.0, 1.0)), 3, 0, (1.45, math.inf, 1.38))
+    _emit(result.to_dict(), None)
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["critical_values"] == [1.45, None, 1.38]
+    assert doc["median"] == 1.45
+    assert doc["median_ci"] == {"level": 0.95, "low": None, "high": None}
+
+
+def test_save_graph_rejects_nan_meta(tmp_path):
+    g = build_graph(generate_uniform(10, Region(5.0, 5.0), seed=1), 1.0)
+    path = tmp_path / "nan.json"
+    with pytest.raises(ValueError):
+        save_graph(g, str(path), meta={"lambda": float("nan")})
+    assert not path.exists()
+
+
+def test_sweep_rejects_estimator_kind_up_front(tmp_path, capsys):
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"kind": "lambda-c-estimate", "region": {"width": 15, "height": 15}}, fh)
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg_path)
+    assert code == 1
+    assert out == ""
+    assert "kind must be one of" in err
 
 
 def test_critical_phi_output(capsys):

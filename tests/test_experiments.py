@@ -1,10 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from geoperc import experiments
 from geoperc.cascade import ThresholdDistribution
-from geoperc.failures import IndependentFailure
+from geoperc.failures import IndependentFailure, apply_failures
 from geoperc.experiments import (
+    BisectionResult,
     ExperimentConfig,
+    _critical_q,
+    _median_ci_rank,
     estimate_lambda_c,
     estimate_qc,
     run_cascade_trial,
@@ -12,6 +20,9 @@ from geoperc.experiments import (
     run_sweep,
     trial_seeds,
 )
+from geoperc.geometry import Region, generate_poisson, generate_uniform
+from geoperc.graph import build_graph, crosses
+from geoperc.seeding import STREAM_FAILURES, STREAM_PLACEMENT, derive_seed, substream
 from geoperc.theory import SubcriticalDensityError
 
 HEAVY_LOW = ThresholdDistribution(((0.0, 0.1, 7.5), (0.1, 1.0, 5 / 18)))
@@ -29,6 +40,8 @@ def test_config_validation():
         ExperimentConfig(kind="cascade-trial", width=10, height=10, lambdas=(1.0,))
     with pytest.raises(ValueError):
         ExperimentConfig(kind="mystery", width=10, height=10)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        ExperimentConfig(kind="lambda-c-estimate", width=10, height=10)
 
 
 def test_config_round_trip():
@@ -183,6 +196,114 @@ def test_finite_size_scaling_shrinks_bias():
         errs50.append(abs(r50.midpoint - 1.435))
         errs100.append(abs(r100.midpoint - 1.435))
     assert np.mean(errs100) <= np.mean(errs50)
+
+
+def _assert_critical_q_matches_crosses(graph, seed):
+    region = graph.points.region
+    rect = (0.0, 0.0, region.width, region.height)
+    q_star = _critical_q(graph, seed, rect)
+    grid = list(np.linspace(0.0, 1.0, 9))
+    if math.isfinite(q_star):
+        grid += [q_star, float(np.nextafter(q_star, 1.0))]
+    for q in grid:
+        alive = apply_failures(graph, IndependentFailure(q), seed).alive
+        assert (q <= q_star) == crosses(graph, alive, rect, "left-right"), (q, q_star)
+    return q_star
+
+
+@given(
+    side=st.floats(3.0, 12.0),
+    lam=st.floats(0.5, 5.0),
+    placement=st.integers(0, 2**32),
+    seed=st.integers(0, 2**32),
+)
+def test_critical_q_matches_crosses_oracle(side, lam, placement, seed):
+    graph = build_graph(generate_poisson(lam, Region(side, side), placement), 1.0)
+    _assert_critical_q_matches_crosses(graph, seed)
+
+
+def test_critical_q_degenerate_graphs():
+    empty = build_graph(generate_uniform(0, Region(5.0, 5.0), seed=1), 1.0)
+    assert _assert_critical_q_matches_crosses(empty, 3) == -math.inf
+    isolated = build_graph(generate_uniform(40, Region(10.0, 10.0), seed=2), 0.05)
+    assert _assert_critical_q_matches_crosses(isolated, 4) == -math.inf
+
+
+def test_estimators_build_one_graph_per_trial(monkeypatch):
+    built = []
+
+    def counting_build_graph(*args, **kwargs):
+        built.append(1)
+        return build_graph(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_graph", counting_build_graph)
+    estimate_qc(2.87, trials=7, base_seed=5)
+    assert len(built) == 7
+    built.clear()
+    estimate_lambda_c(trials=9, base_seed=5)
+    assert len(built) == 9
+
+
+def test_evaluations_monotone_in_parameter():
+    for result, rising in (
+        (estimate_qc(2.87, trials=30, base_seed=11), False),
+        (estimate_lambda_c(trials=30, base_seed=2024), True),
+    ):
+        curve = [p for _, p in sorted(result.evaluations)]
+        assert curve == sorted(curve, reverse=not rising)
+
+
+def test_estimators_replay_trials_from_their_seeds():
+    # every evaluation equals the mean of direct crossings of each trial's
+    # graph, rebuilt from derive_seed(base_seed, 0, t, trials)
+    side = 50.0
+    rect = (0.0, 0.0, side, side)
+    for result, lam_graph, to_q in (
+        (estimate_qc(2.87, trials=8, base_seed=11), 2.87, lambda q: q),
+        (estimate_lambda_c(trials=8, base_seed=2024), 2.0, lambda lam: 1.0 - lam / 2.0),
+    ):
+        hits = np.zeros(len(result.evaluations))
+        for t in range(result.trials):
+            seed = derive_seed(result.base_seed, 0, t, result.trials)
+            pts = generate_poisson(lam_graph, Region(side, side), substream(seed, STREAM_PLACEMENT))
+            graph = build_graph(pts, 1.0)
+            for i, (x, _) in enumerate(result.evaluations):
+                rule = IndependentFailure(to_q(x))
+                alive = apply_failures(graph, rule, substream(seed, STREAM_FAILURES)).alive
+                hits[i] += crosses(graph, alive, rect, "left-right")
+        assert [p for _, p in result.evaluations] == list(hits / result.trials)
+
+
+def test_bisection_stops_at_float_resolution():
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError, match="target_width"):
+            estimate_qc(2.87, trials=5, base_seed=11, target_width=bad)
+        with pytest.raises(ValueError, match="target_width"):
+            estimate_lambda_c(trials=5, base_seed=11, target_width=bad)
+    # a width below float spacing ends with adjacent floats around the one
+    # per-trial value where the crossing fraction drops below 1/2
+    tight = estimate_qc(2.87, trials=5, base_seed=11, target_width=1e-300)
+    assert np.nextafter(tight.low, 1.0) == tight.high
+    assert tight.low == tight.median
+
+
+def test_median_ci_rank_matches_binomial_tail():
+    for n in range(1, 80):
+        tail = [sum(math.comb(n, i) for i in range(j + 1)) for j in range(n)]
+        ok = [j for j in range(n) if 40 * tail[j] <= 2**n]
+        assert _median_ci_rank(n) == (max(ok) if ok else None), n
+
+
+def test_bisection_result_median_and_interval():
+    values = (0.3, -math.inf, 0.1, 0.5, 0.2, 0.4, 0.6)
+    result = BisectionResult(0.25, 0.3, (), 7, 0, values)
+    assert result.median == 0.3
+    assert result.median_ci == (-math.inf, 0.6)
+    doc = result.to_dict()
+    assert doc["critical_values"] == [0.3, None, 0.1, 0.5, 0.2, 0.4, 0.6]
+    assert doc["median_ci"] == {"level": 0.95, "low": None, "high": 0.6}
+    few = BisectionResult(0.25, 0.3, (), 5, 0, values[:5])
+    assert few.median_ci == (-math.inf, math.inf)
 
 
 def test_cascade_trial_all_isolated_nodes():
