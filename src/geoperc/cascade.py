@@ -9,6 +9,7 @@ is monotone, so the final failed set is schedule-independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ class ThresholdDistribution:
         object.__setattr__(self, "pieces", pieces)
         if not pieces:
             raise ValueError("distribution needs at least one piece")
+        for i, piece in enumerate(pieces):
+            if not all(math.isfinite(v) for v in piece):
+                raise ValueError(f"piece {i} has a non-finite start, end or density {piece}")
         if pieces[0][0] != 0.0:
             raise ValueError(f"first piece must start at 0, got {pieces[0][0]}")
         if pieces[-1][1] != 1.0:
@@ -49,7 +53,7 @@ class ThresholdDistribution:
                     f"piece {i} starts at {a} but the previous piece ends at {pieces[i - 1][1]}"
                 )
         mass = sum(d * (b - a) for a, b, d in pieces)
-        if abs(mass - 1.0) > _MASS_TOLERANCE:
+        if not abs(mass - 1.0) <= _MASS_TOLERANCE:
             raise ValueError(f"total mass {mass} differs from 1 by more than {_MASS_TOLERANCE}")
 
     @classmethod

@@ -9,7 +9,8 @@ output as this serial one.
 The critical-point estimators build one graph per trial and reduce it to one
 critical value (Newman & Ziff, PRL 85, 4104 (2000)). Independent failure keeps
 node i iff u_i >= q for one shared uniform u_i, so a trial crosses at q iff
-q <= q*, its largest crossing q. For the critical density, failure with
+q <= q*, its largest crossing q, which ``graph.crossing_level`` finds in one
+shrinking binary search over the u_i. For the critical density, failure with
 q = 1 - lam/lam_max thins a lam_max Poisson graph to a lam one, giving
 lam* = lam_max (1 - q*). Each bisection evaluation is then the empirical CDF
 of the per-trial values: common random numbers, no graph built.
@@ -32,7 +33,7 @@ from .cascade import (
 )
 from .failures import FailureRule, apply_failures, parse_rule
 from .geometry import OPEN_BOX, Region, generate_poisson, generate_uniform
-from .graph import SpatialGraph, build_graph, components, crosses
+from .graph import SpatialGraph, build_graph, components, crosses, crossing_level
 from .seeding import (
     STREAM_FAILURES,
     STREAM_PLACEMENT,
@@ -71,6 +72,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        numbers = {"width": self.width, "height": self.height, "radius": self.radius,
+                   "giant_threshold": self.giant_threshold}
+        numbers.update((f"lambdas[{i}]", lam) for i, lam in enumerate(self.lambdas))
+        for name, value in numbers.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.proxy not in PROXIES:
@@ -301,21 +308,12 @@ def _critical_q(graph: SpatialGraph, failure_seed: int, rect) -> float:
 
     apply_failures keeps node i iff u_i >= q, with u drawn from failure_seed, so
     survivors only shrink as q grows: the graph crosses at q iff q <= q*. The
-    survivor set changes only at the u_i, so q* is one of them; a binary search
-    over their sorted values finds it.
+    survivor set changes only at the u_i, so q* is the crossing level of the
+    weights u.
     """
     u = generator_from_seed(failure_seed).random(len(graph))
-    if not crosses(graph, np.ones(len(graph), dtype=bool), rect, "left-right"):
-        return -math.inf
-    levels = np.sort(u)
-    lo, hi = 0, len(levels)  # crosses with u >= levels[lo]; none left at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if crosses(graph, u >= levels[mid], rect, "left-right"):
-            lo = mid
-        else:
-            hi = mid
-    return float(levels[lo])
+    level = crossing_level(graph, u, rect, "left-right")
+    return -math.inf if level is None else level
 
 
 def _trial_critical_qs(config: ExperimentConfig, lam: float) -> np.ndarray:

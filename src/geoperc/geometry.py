@@ -22,9 +22,9 @@ class Region:
     boundary: str = OPEN_BOX
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
+        if not (0 < self.width < np.inf and 0 < self.height < np.inf):
             raise ValueError(
-                f"region dimensions must be positive, got {self.width} x {self.height}"
+                f"region dimensions must be positive and finite, got {self.width} x {self.height}"
             )
         if self.boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}, got {self.boundary!r}")

@@ -11,10 +11,13 @@ keys ``a * n + b`` and ``b * n + a``. One sort of all keys gives the layout:
 and rows with ``a < b`` are ``edges``. Only a torus with fewer than 3 cells on
 an axis can revisit a cell pair, so only there are the keys deduplicated.
 
-Connectivity has one primitive, ``_component_roots``: every alive node gets the
-smallest node index of its component, by min-label hooking and pointer jumping
-over the alive edges (Shiloach & Vishkin, J. Algorithms 3, 1982). Component
-labels rank those roots; a crossing is a root shared by both edge strips.
+Connectivity has one primitive, ``_component_roots``: given an edge list, every
+node gets the smallest node index of its component, by min-label hooking and
+pointer jumping (Shiloach & Vishkin, J. Algorithms 3, 1982). Component labels
+rank the roots over the alive edges; a crossing is a root shared by both edge
+strips. ``crossing_level`` finds the level at which weighted survivors stop
+crossing by a binary search that drops or contracts the nodes each step
+decides, so it labels a graph about once in all, not once per step.
 """
 
 from __future__ import annotations
@@ -163,19 +166,17 @@ class ComponentLabeling:
     largest_size: int
 
 
-def _component_roots(graph: SpatialGraph, alive: np.ndarray) -> np.ndarray:
-    """Per node, the smallest node index of its component among the alive nodes.
+def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per node of an n-node graph with edges (u[k], v[k]), the smallest node
+    index of its component.
 
     Each sweep hooks the larger root of every edge whose ends have different
     roots onto the smaller one, then jumps pointers until every node points at
     a root. Roots only decrease, and an edge whose ends share a root keeps
-    sharing it, so later sweeps visit only the edges still split. Dead nodes
-    are their own roots.
+    sharing it, so later sweeps visit only the edges still split. A node on no
+    edge is its own root.
     """
-    root = np.arange(len(graph))
-    e = graph.edges
-    both = alive[e[:, 0]] & alive[e[:, 1]]
-    u, v = e[both, 0], e[both, 1]
+    root = np.arange(n)
     while True:
         ru, rv = root[u], root[v]
         split = ru != rv
@@ -190,6 +191,12 @@ def _component_roots(graph: SpatialGraph, alive: np.ndarray) -> np.ndarray:
             root = jumped
 
 
+def _alive_edges(graph: SpatialGraph, alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    e = graph.edges
+    both = alive[e[:, 0]] & alive[e[:, 1]]
+    return e[both, 0], e[both, 1]
+
+
 def components(graph: SpatialGraph, alive) -> ComponentLabeling:
     """Components of the alive nodes, numbered in the order of their smallest node."""
     n = len(graph)
@@ -197,7 +204,7 @@ def components(graph: SpatialGraph, alive) -> ComponentLabeling:
     if alive.shape != (n,):
         raise ValueError(f"alive mask length {alive.shape} does not match node count {n}")
 
-    roots = _component_roots(graph, alive)
+    roots = _component_roots(n, *_alive_edges(graph, alive))
     _, inverse, sizes = np.unique(roots[alive], return_inverse=True, return_counts=True)
     labels = np.full(n, -1, dtype=np.int64)
     labels[alive] = inverse
@@ -220,14 +227,8 @@ def _expand_frontier(graph: SpatialGraph, frontier: np.ndarray) -> np.ndarray:
     return graph.indices[np.arange(total) - offsets + starts]
 
 
-def crosses(graph: SpatialGraph, alive, rect, direction: str = "left-right") -> bool:
-    """Whether alive nodes inside rect form a crossing in the given direction.
-
-    A left-right crossing is a connected sequence of alive nodes inside the
-    rectangle whose first node lies strictly within distance radius of the left
-    edge (0 < x - x1 < r) and whose last node lies strictly within radius of
-    the right edge (0 < x2 - x < r); top-bottom is the 90-degree rotation.
-    """
+def _strips(graph: SpatialGraph, rect, direction: str):
+    """Masks of the nodes inside rect and of those in its start and end strips."""
     region = graph.points.region
     if region.boundary == TORUS:
         raise ValueError("crossing is undefined on a torus region")
@@ -237,14 +238,9 @@ def crosses(graph: SpatialGraph, alive, rect, direction: str = "left-right") -> 
     if direction not in ("left-right", "top-bottom"):
         raise ValueError(f"direction must be 'left-right' or 'top-bottom', got {direction!r}")
 
-    n = len(graph)
-    alive = np.asarray(alive, dtype=bool)
-    if alive.shape != (n,):
-        raise ValueError(f"alive mask length {alive.shape} does not match node count {n}")
-
     coords = graph.points.coordinates
     x, y = coords[:, 0], coords[:, 1]
-    inside = alive & (x >= x1) & (x <= x2) & (y >= y1) & (y <= y2)
+    inside = (x >= x1) & (x <= x2) & (y >= y1) & (y <= y2)
     if direction == "left-right":
         c, lo, hi = x, x1, x2
     else:
@@ -252,9 +248,94 @@ def crosses(graph: SpatialGraph, alive, rect, direction: str = "left-right") -> 
     r = graph.radius
     start = inside & (c - lo > 0) & (c - lo < r)
     end = inside & (hi - c > 0) & (hi - c < r)
+    return inside, start, end
+
+
+def _spanning_roots(roots: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Mask over node indices: the roots whose component has a start and an end node."""
+    has_start = np.zeros(len(roots), dtype=bool)
+    has_start[roots[start]] = True
+    has_end = np.zeros(len(roots), dtype=bool)
+    has_end[roots[end]] = True
+    return has_start & has_end
+
+
+def crosses(graph: SpatialGraph, alive, rect, direction: str = "left-right") -> bool:
+    """Whether alive nodes inside rect form a crossing in the given direction.
+
+    A left-right crossing is a connected sequence of alive nodes inside the
+    rectangle whose first node lies strictly within distance radius of the left
+    edge (0 < x - x1 < r) and whose last node lies strictly within radius of
+    the right edge (0 < x2 - x < r); top-bottom is the 90-degree rotation.
+    """
+    inside, start, end = _strips(graph, rect, direction)
+    n = len(graph)
+    alive = np.asarray(alive, dtype=bool)
+    if alive.shape != (n,):
+        raise ValueError(f"alive mask length {alive.shape} does not match node count {n}")
+
+    inside &= alive
+    start &= alive
+    end &= alive
     if not start.any() or not end.any():
         return False
-    roots = _component_roots(graph, inside)
-    start_root = np.zeros(n, dtype=bool)
-    start_root[roots[start]] = True
-    return bool(start_root[roots[end]].any())
+    roots = _component_roots(n, *_alive_edges(graph, inside))
+    return bool(_spanning_roots(roots, start, end).any())
+
+
+def crossing_level(
+    graph: SpatialGraph, weights, rect, direction: str = "left-right"
+) -> float | None:
+    """Largest weight t whose survivors {weights >= t} cross rect in the given
+    direction (see ``crosses``), or None when no survivor set does.
+
+    Survivors only shrink as t grows, so they cross at t iff t <= the returned
+    level. A binary search over the sorted weights of the inside nodes finds
+    it on a graph that shrinks at every step. Where the survivors at t cross,
+    a crossing at any higher level lies within one of their crossing
+    components, so every other node is dropped. Where they do not, each of
+    their components stays connected at every lower level, so it is
+    contracted to one node that carries its strip flags and the weight of its
+    smallest node, which is at least t. Each step labels only the edges
+    between the nodes left.
+    """
+    inside, start, end = _strips(graph, rect, direction)
+    n = len(graph)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise ValueError(f"weights length {weights.shape} does not match node count {n}")
+    if np.isnan(weights).any():
+        raise ValueError("weights must not be NaN")
+
+    # the reduced graph: node weights w, start and finish strip flags s and f,
+    # edges (a, b)
+    index = np.cumsum(inside) - 1
+    a, b = (index[u] for u in _alive_edges(graph, inside))
+    w, s, f = weights[inside], start[inside], end[inside]
+    levels = np.sort(w)
+    lo, hi = -1, len(levels)  # crosses at levels[lo] if lo >= 0; not at levels[hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        alive = w >= levels[mid]
+        both = alive[a] & alive[b]
+        roots = _component_roots(len(w), a[both], b[both])
+        spanning = _spanning_roots(roots, s & alive, f & alive)
+        if spanning.any():
+            lo = mid
+            keep = alive & spanning[roots]
+            both &= keep[a]
+            index = np.cumsum(keep) - 1
+            a, b = index[a[both]], index[b[both]]
+            w, s, f = w[keep], s[keep], f[keep]
+        else:
+            hi = mid
+            # a node not on a survivor edge is its own root
+            rep = roots == np.arange(len(w))
+            index = (np.cumsum(rep) - 1)[roots]
+            a, b = index[a], index[b]
+            split = a != b
+            a, b = a[split], b[split]
+            w = w[rep]
+            s = np.bincount(index[s], minlength=len(w)) > 0
+            f = np.bincount(index[f], minlength=len(w)) > 0
+    return None if lo < 0 else float(levels[lo])

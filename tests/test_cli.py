@@ -93,6 +93,50 @@ def test_sweep_rejects_estimator_kind_up_front(tmp_path, capsys):
     assert "kind must be one of" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, name",
+    [
+        ("width", math.inf, "width"),
+        ("height", math.nan, "height"),
+        ("radius", math.nan, "radius"),
+        ("lambdas", [1.0, math.nan], "lambdas[1]"),
+        ("giant_threshold", math.nan, "giant_threshold"),
+    ],
+)
+def test_sweep_config_non_finite_field_rejected_by_name(tmp_path, capsys, field, value, name):
+    config = {"kind": "percolation-sweep", "region": {"width": 15, "height": 15},
+              "lambdas": [1.0], "trials": 2}
+    if field in ("width", "height"):
+        config["region"][field] = value
+    else:
+        config[field] = value
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(config, fh)  # writes NaN / Infinity, which json.load accepts
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg_path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {name} must be a finite number"), err
+
+
+@pytest.mark.parametrize(
+    "dist, piece",
+    [("pieces:0,0.5,nan;0.5,1,2", 0), ("pieces:0,1,nan", 0), ("pieces:0,0.5,1;0.5,inf,1", 1)],
+)
+def test_non_finite_distribution_rejected_by_piece(tmp_path, capsys, dist, piece):
+    path = str(tmp_path / "g.json")
+    run_cli(capsys, "generate", "--n", "50", "--width", "8", "--height", "8",
+            "--seed", "3", "--out", path)
+    for argv in (
+        ("cascade", "--graph", path, "--dist", dist, "--seed", "9"),
+        ("theory", "cascade-condition", "--lambda", "2", "--dist", dist),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith(f"error: piece {piece} has a non-finite"), err
+
+
 def test_critical_phi_output(capsys):
     code, out, _ = run_cli(capsys, "theory", "critical-phi", "--lambda", "10")
     assert code == 0

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geoperc import experiments
+from geoperc import graph as graph_module
 from geoperc.cascade import ThresholdDistribution
 from geoperc.failures import IndependentFailure, apply_failures
 from geoperc.experiments import (
@@ -227,6 +228,29 @@ def test_critical_q_degenerate_graphs():
     assert _assert_critical_q_matches_crosses(empty, 3) == -math.inf
     isolated = build_graph(generate_uniform(40, Region(10.0, 10.0), seed=2), 0.05)
     assert _assert_critical_q_matches_crosses(isolated, 4) == -math.inf
+
+
+def test_critical_q_labels_each_graph_about_once(monkeypatch):
+    # the search shrinks the graph at every step, so all its labelings
+    # together see far fewer edges than one full relabeling per step would
+    handed = []
+
+    def counting_component_roots(n, u, v):
+        handed.append(len(u))
+        return component_roots(n, u, v)
+
+    component_roots = graph_module._component_roots
+    monkeypatch.setattr(graph_module, "_component_roots", counting_component_roots)
+    side = 30.0
+    rect = (0.0, 0.0, side, side)
+    for seed in (1, 2, 3, 4):
+        graph = build_graph(generate_poisson(2.87, Region(side, side), seed), 1.0)
+        handed.clear()
+        q_star = _critical_q(graph, seed, rect)
+        assert sum(handed) <= 1.5 * graph.edge_count, (seed, sum(handed), graph.edge_count)
+        for q, expected in ((q_star, True), (float(np.nextafter(q_star, 1.0)), False)):
+            alive = apply_failures(graph, IndependentFailure(q), seed).alive
+            assert crosses(graph, alive, rect, "left-right") is expected
 
 
 def test_estimators_build_one_graph_per_trial(monkeypatch):

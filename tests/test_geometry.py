@@ -12,6 +12,9 @@ def test_region_validation():
         Region(5.0, -1.0)
     with pytest.raises(ValueError):
         Region(5.0, 5.0, "donut")
+    for width, height in ((np.inf, 5.0), (5.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            Region(width, height)
     assert Region(2.0, 3.0).area == 6.0
 
 

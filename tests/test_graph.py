@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geoperc.geometry import OPEN_BOX, TORUS, PointSet, Region, generate_poisson, generate_uniform
-from geoperc.graph import build_graph, components, crosses
+from geoperc.graph import build_graph, components, crosses, crossing_level
 
 from conftest import bfs_component_labels, bfs_crosses, brute_force_edges
 
@@ -168,6 +168,62 @@ def test_crosses_degenerate_graphs_match_bfs_oracle():
         for rect in rects:
             for direction in ("left-right", "top-bottom"):
                 assert crosses(g, alive, rect, direction) is bfs_crosses(g, alive, rect, direction)
+
+
+def _assert_crossing_level_matches_bfs(g, weights, rect, direction):
+    level = crossing_level(g, weights, rect, direction)
+    assert level is None or level in weights
+    grid = [-np.inf, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, np.inf]
+    if level is not None:
+        grid += [level, np.nextafter(level, np.inf)]
+    for t in grid:
+        expected = bfs_crosses(g, weights >= t, rect, direction)
+        assert (level is not None and t <= level) == expected, (t, level)
+    return level
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.floats(1.0, 4.0),
+    side=st.floats(5.0, 14.0),
+    tied=st.floats(0.0, 1.0),
+)
+def test_crossing_level_matches_bfs_oracle(seed, lam, side, tied):
+    g = build_graph(generate_poisson(lam, Region(side, side), seed=seed), 1.0)
+    rng = np.random.default_rng(seed)
+    # a share `tied` of the weights comes from a few values, +-inf among them
+    weights = np.where(
+        rng.random(len(g)) < tied,
+        rng.choice([-np.inf, 0.25, 0.5, 0.75, np.inf], len(g)),
+        rng.random(len(g)),
+    )
+    (x1, x2), (y1, y2) = np.sort(rng.uniform(0.0, side, (2, 2)), axis=1)
+    for rect in ((0.0, 0.0, side, side), (x1, y1, x2, y2)):
+        for direction in ("left-right", "top-bottom"):
+            _assert_crossing_level_matches_bfs(g, weights, rect, direction)
+
+
+def test_crossing_level_degenerate_graphs():
+    empty = _graph_from_coords(np.empty((0, 2)))
+    lattice = _graph_from_coords([[x, y] for x in range(1, 10, 2) for y in range(1, 10, 2)])
+    weights = np.random.default_rng(5).random(len(lattice))
+    for g, w in ((empty, np.empty(0)), (lattice, weights)):
+        for direction in ("left-right", "top-bottom"):
+            assert _assert_crossing_level_matches_bfs(g, w, (0, 0, 10, 10), direction) is None
+    # one node within radius of both edges of a narrow rectangle
+    single = _graph_from_coords([[1.0, 5.0]], width=1.5)
+    for w in (0.3, np.inf, -np.inf):
+        rect = (0.5, 0, 1.5, 10)
+        assert _assert_crossing_level_matches_bfs(single, np.array([w]), rect, "left-right") == w
+
+
+def test_crossing_level_rejects_bad_input():
+    g = _graph_from_coords([[1.0, 1.0], [1.5, 1.0]])
+    with pytest.raises(ValueError, match="NaN"):
+        crossing_level(g, np.array([0.5, np.nan]), (0, 0, 10, 10))
+    with pytest.raises(ValueError, match="length"):
+        crossing_level(g, np.zeros(3), (0, 0, 10, 10))
 
 
 def test_crosses_empty_graph():
