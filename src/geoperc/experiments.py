@@ -1,10 +1,11 @@
 """Monte Carlo harness: parameter sweeps, critical-point estimation, cascade trials.
 
-Every trial draws its seed as splitmix64(splitmix64(base_seed) + point * trials
-+ trial), so per-trial seeds are pairwise distinct within a sweep and results
-are bit-reproducible. Trials are independent over immutable inputs and are
-reduced in (point, trial) order, so a parallel executor would produce the same
-output as this serial one.
+Every trial draws its seed as splitmix64(splitmix64(base_seed) + lam_index *
+trials + trial), so per-trial seeds are pairwise distinct within a sweep and
+results are bit-reproducible. One trial loop builds one graph per (lambda,
+trial); a failure sweep applies every rule to it with the same failure
+uniforms, an exact coupling. Trials are reduced in (lambda, trial) order, so a
+parallel executor would produce the same output as this serial one.
 
 The critical-point estimators build one graph per trial and reduce it to one
 critical value (Newman & Ziff, PRL 85, 4104 (2000)). Independent failure keeps
@@ -19,8 +20,9 @@ of the per-trial values: common random numbers, no graph built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -49,6 +51,16 @@ KINDS = ("percolation-sweep", "failure-sweep", "cascade-trial")
 PROXIES = ("crossing", "giant-fraction")
 SEEDINGS = ("random-node", "adjacent-to-largest-vulnerable-component")
 COUNT_MODES = ("poisson", "fixed")
+
+
+def _integer_field(doc: dict, name: str, default: int | None) -> int | None:
+    """doc[name] as an int; NaN, infinities and non-integral values fail by name."""
+    value = doc.get(name, default)
+    if value is None or isinstance(value, int):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +113,7 @@ class ExperimentConfig:
         return Region(self.width, self.height, self.boundary)
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "kind": self.kind,
             "region": {"width": self.width, "height": self.height, "boundary": self.boundary},
             "radius": self.radius,
@@ -118,7 +130,6 @@ class ExperimentConfig:
             "count_mode": self.count_mode,
             "n": self.n,
         }
-        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -136,12 +147,12 @@ class ExperimentConfig:
             rules=tuple(parse_rule(t) for t in doc.get("rules", [])),
             distribution=None if dist is None else parse_distribution(dist),
             seeding=doc.get("seeding", "random-node"),
-            trials=int(doc.get("trials", 100)),
-            base_seed=int(doc.get("base_seed", 0)),
+            trials=_integer_field(doc, "trials", 100),
+            base_seed=_integer_field(doc, "base_seed", 0),
             proxy=doc.get("proxy", "crossing"),
             giant_threshold=float(doc.get("giant_threshold", 0.1)),
             count_mode=doc.get("count_mode", "poisson"),
-            n=None if doc.get("n") is None else int(doc["n"]),
+            n=_integer_field(doc, "n", None),
         )
 
 
@@ -159,15 +170,28 @@ class SweepResult:
     points: tuple[PointResult, ...]
 
 
-def _trial_graph(config: ExperimentConfig, lam: float, trial_seed: int) -> SpatialGraph:
+def _trial_graph(config: ExperimentConfig, lam_index: int, trial_seed: int) -> SpatialGraph:
     region = config.region
     placement_seed = substream(trial_seed, STREAM_PLACEMENT)
+    lam = config.lambdas[lam_index] if config.lambdas else 0.0
     if config.count_mode == "fixed":
         n = config.n if config.n is not None else round(lam * region.area)
         pts = generate_uniform(n, region, placement_seed)
     else:
         pts = generate_poisson(lam, region, placement_seed)
     return build_graph(pts, config.radius)
+
+
+def trial_seeds(config: ExperimentConfig, lam_index: int) -> list[int]:
+    return [
+        derive_seed(config.base_seed, lam_index, t, config.trials) for t in range(config.trials)
+    ]
+
+
+def _over_trials(config: ExperimentConfig, lam_index: int, evaluate) -> list:
+    """evaluate(seed, graph) per trial at one lambda index, in order; one graph alive at a time."""
+    return [evaluate(seed, _trial_graph(config, lam_index, seed))
+            for seed in trial_seeds(config, lam_index)]
 
 
 def _proxy_indicator(config: ExperimentConfig, graph: SpatialGraph, alive: np.ndarray) -> float:
@@ -180,50 +204,30 @@ def _proxy_indicator(config: ExperimentConfig, graph: SpatialGraph, alive: np.nd
     return 1.0 if labeling.largest_size >= config.giant_threshold * len(graph) else 0.0
 
 
-def _grid_points(config: ExperimentConfig) -> list[dict]:
-    if config.kind == "percolation-sweep":
-        return [{"lambda": lam} for lam in config.lambdas]
-    if config.kind == "failure-sweep":
-        return [
-            {"lambda": lam, "rule": rule.to_text()}
-            for lam in config.lambdas
-            for rule in config.rules
-        ]
-    raise ValueError(f"run_sweep does not handle kind {config.kind!r}")
-
-
-def trial_seeds(config: ExperimentConfig, point_index: int) -> list[int]:
-    return [
-        derive_seed(config.base_seed, point_index, t, config.trials) for t in range(config.trials)
-    ]
-
-
-def _hit_rate(
-    config: ExperimentConfig, lam: float, rule: FailureRule | None, point_index: int
-) -> float:
-    """Mean proxy indicator over the trials of one grid point or evaluation."""
-    hits = 0.0
-    for trial_seed in trial_seeds(config, point_index):
-        graph = _trial_graph(config, lam, trial_seed)
-        if rule is None:
-            alive = np.ones(len(graph), dtype=bool)
-        else:
-            alive = apply_failures(graph, rule, substream(trial_seed, STREAM_FAILURES)).alive
-        hits += _proxy_indicator(config, graph, alive)
-    return hits / config.trials
-
-
 def run_sweep(config: ExperimentConfig) -> SweepResult:
-    """Per grid point: `trials` independent instances, aggregated to a Bernoulli
-    estimate with its binomial standard error. Deterministic given base_seed."""
-    points = _grid_points(config)
+    """Per grid point (lambda-major, then rule): `trials` instances, aggregated
+    to a Bernoulli estimate with its binomial standard error. All rules at one
+    lambda share its trial graphs and failure uniforms."""
+    if config.kind not in ("percolation-sweep", "failure-sweep"):
+        raise ValueError(f"run_sweep does not handle kind {config.kind!r}")
+    rules = config.rules if config.kind == "failure-sweep" else (None,)
+
+    def indicators(seed: int, graph: SpatialGraph) -> list[float]:
+        failure_seed = substream(seed, STREAM_FAILURES)
+        return [
+            _proxy_indicator(config, graph, np.ones(len(graph), dtype=bool) if rule is None
+                             else apply_failures(graph, rule, failure_seed).alive)
+            for rule in rules
+        ]
+
     results = []
-    for p_idx, params in enumerate(points):
-        lam = params["lambda"]
-        rule = parse_rule(params["rule"]) if "rule" in params else None
-        est = _hit_rate(config, lam, rule, p_idx)
-        stderr = float(np.sqrt(est * (1.0 - est) / config.trials))
-        results.append(PointResult(params, est, stderr, config.trials))
+    for lam_index, lam in enumerate(config.lambdas):
+        hits = np.sum(_over_trials(config, lam_index, indicators), axis=0)
+        for rule, rule_hits in zip(rules, hits):
+            params = {"lambda": lam} if rule is None else {"lambda": lam, "rule": rule.to_text()}
+            est = float(rule_hits) / config.trials
+            stderr = float(np.sqrt(est * (1.0 - est) / config.trials))
+            results.append(PointResult(params, est, stderr, config.trials))
     return SweepResult(config, tuple(results))
 
 
@@ -316,13 +320,12 @@ def _critical_q(graph: SpatialGraph, failure_seed: int, rect) -> float:
     return -math.inf if level is None else level
 
 
-def _trial_critical_qs(config: ExperimentConfig, lam: float) -> np.ndarray:
-    """q* of one density-lam graph per trial, in trial order."""
+def _trial_critical_qs(config: ExperimentConfig) -> np.ndarray:
+    """q* of the trial graph at config.lambdas[0] per trial, in trial order."""
     rect = (0.0, 0.0, config.width, config.height)
-    return np.array([
-        _critical_q(_trial_graph(config, lam, seed), substream(seed, STREAM_FAILURES), rect)
-        for seed in trial_seeds(config, 0)
-    ])
+    return np.array(_over_trials(
+        config, 0, lambda seed, graph: _critical_q(graph, substream(seed, STREAM_FAILURES), rect)
+    ))
 
 
 def _bisect(p, lo: float, hi: float, target_width: float, rising: bool):
@@ -391,7 +394,7 @@ def estimate_lambda_c(
         raise ValueError(f"bracket {bracket} is not an interval")
     if not target_width > 0:
         raise ValueError(f"target_width must be positive, got {target_width}")
-    q_star = _trial_critical_qs(_estimator_config(hi, side, radius, trials, base_seed), hi)
+    q_star = _trial_critical_qs(_estimator_config(hi, side, radius, trials, base_seed))
     low, high, evals = _bisect(
         lambda lam: float(np.mean(1.0 - lam / hi <= q_star)), lo, hi, target_width, rising=True
     )
@@ -422,7 +425,7 @@ def estimate_qc(
         raise ValueError(f"bracket {bracket} is not an interval inside [0, 1]")
     if not target_width > 0:
         raise ValueError(f"target_width must be positive, got {target_width}")
-    q_star = _trial_critical_qs(_estimator_config(lam, side, radius, trials, base_seed), lam)
+    q_star = _trial_critical_qs(_estimator_config(lam, side, radius, trials, base_seed))
     low, high, evals = _bisect(
         lambda q: float(np.mean(q <= q_star)), lo, hi, target_width, rising=False
     )
@@ -442,22 +445,15 @@ class CascadeTrialRecord:
     seed_in_largest_failed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "trial_seed": self.trial_seed,
-            "feasible": self.feasible,
-            "seed_node": self.seed_node,
-            "largest_vulnerable_fraction": self.largest_vulnerable_fraction,
-            "failed_count": self.failed_count,
-            "failed_fraction": self.failed_fraction,
-            "rounds": self.rounds,
-            "largest_failed_fraction": self.largest_failed_fraction,
-            "seed_in_largest_failed": self.seed_in_largest_failed,
-        }
+        return asdict(self)
 
 
-def run_cascade_trial(config: ExperimentConfig, trial_seed: int) -> CascadeTrialRecord:
-    """One cascade instance: build, sample thresholds, pick a seed node per the
-    seeding policy, run the cascade, report spread metrics.
+def run_cascade_trial(
+    config: ExperimentConfig, trial_seed: int, graph: SpatialGraph | None = None
+) -> CascadeTrialRecord:
+    """One cascade instance: build the trial graph (unless given), sample
+    thresholds, pick a seed node per the seeding policy, run the cascade,
+    report spread metrics.
 
     With adjacent seeding the seed is drawn from the nodes outside the largest
     vulnerable component that have a neighbor inside it (falling back to a node
@@ -466,8 +462,8 @@ def run_cascade_trial(config: ExperimentConfig, trial_seed: int) -> CascadeTrial
     """
     if config.distribution is None:
         raise ValueError("cascade trials need a threshold distribution")
-    lam = config.lambdas[0] if config.lambdas else 0.0
-    graph = _trial_graph(config, lam, trial_seed)
+    if graph is None:
+        graph = _trial_graph(config, 0, trial_seed)
     n = len(graph)
     if n == 0:
         return CascadeTrialRecord(trial_seed, False, None, 0.0, 0, 0.0, 0, 0.0, False)
@@ -516,4 +512,4 @@ def run_cascade_trial(config: ExperimentConfig, trial_seed: int) -> CascadeTrial
 def run_cascade_trials(config: ExperimentConfig) -> tuple[CascadeTrialRecord, ...]:
     if config.kind != "cascade-trial":
         raise ValueError(f"expected a cascade-trial config, got kind {config.kind!r}")
-    return tuple(run_cascade_trial(config, seed) for seed in trial_seeds(config, 0))
+    return tuple(_over_trials(config, 0, partial(run_cascade_trial, config)))

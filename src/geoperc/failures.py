@@ -4,7 +4,8 @@ A failure rule maps a node's degree in the ORIGINAL graph to a failure
 probability q(k). Node i fails iff u_i < q(k_i), where u_i is the i-th value
 of the counter-based uniform stream keyed by the seed. Sharing the stream
 across rules gives an exact monotone coupling: pointwise larger q can only
-kill more nodes under the same seed.
+kill more nodes under the same seed. ``experiments.run_sweep`` relies on it:
+every rule at one lambda sees the same trial graphs and the same failure seed.
 """
 
 from __future__ import annotations

@@ -120,6 +120,22 @@ def test_sweep_config_non_finite_field_rejected_by_name(tmp_path, capsys, field,
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("trials", "1e400"), ("trials", "NaN"), ("trials", "2.5"), ("base_seed", "-Infinity"),
+     ("n", "NaN")],
+)
+def test_sweep_config_bad_integer_field_rejected_by_name(tmp_path, capsys, field, value):
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        fh.write('{"kind": "percolation-sweep", "region": {"width": 15, "height": 15}, '
+                 f'"lambdas": [1.0], "{field}": {value}}}')
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg_path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {field} must be an integer"), err
+
+
+@pytest.mark.parametrize(
     "dist, piece",
     [("pieces:0,0.5,nan;0.5,1,2", 0), ("pieces:0,1,nan", 0), ("pieces:0,0.5,1;0.5,inf,1", 1)],
 )
@@ -299,6 +315,43 @@ def test_sweep_csv_json_consistency(tmp_path, capsys):
         assert float(row["estimate"]) == point["estimate"]
         assert float(row["stderr"]) == point["stderr"]
         assert int(row["trials"]) == point["trials"]
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_failure_sweep_command(tmp_path, capsys):
+    rules = ["indep:0.2", "table:0.0,0.1;tail=0.4", "attack:5"]
+    config = {
+        "kind": "failure-sweep",
+        "region": {"width": 15, "height": 15},
+        "lambdas": [2.0, 3.0],
+        "rules": rules,
+        "trials": 5,
+        "base_seed": 8,
+    }
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(config, fh)
+    code, out_json, _ = run_cli(capsys, "sweep", "--config", cfg_path)
+    assert code == 0
+    points = _strict_json(out_json)["points"]
+    code, out_csv, _ = run_cli(capsys, "sweep", "--config", cfg_path, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out_csv)))
+    order = [(lam, rule) for lam in config["lambdas"] for rule in rules]
+    assert [(p["lambda"], p["rule"]) for p in points] == order
+    assert [(float(r["lambda"]), r["rule"]) for r in rows] == order
+    for row, point in zip(rows, points):
+        assert type(point["estimate"]) is float and math.isfinite(point["estimate"])
+        assert 0.0 <= point["estimate"] <= 1.0
+        assert float(row["estimate"]) == point["estimate"]
+        assert float(row["stderr"]) == point["stderr"]
+        assert int(row["trials"]) == point["trials"] == 5
 
 
 def test_sweep_cascade_records(tmp_path, capsys):

@@ -8,12 +8,18 @@ from hypothesis import strategies as st
 from geoperc import experiments
 from geoperc import graph as graph_module
 from geoperc.cascade import ThresholdDistribution
-from geoperc.failures import IndependentFailure, apply_failures
+from geoperc.failures import (
+    DegreeFunctionFailure,
+    IndependentFailure,
+    ThresholdAttack,
+    apply_failures,
+)
 from geoperc.experiments import (
     BisectionResult,
     ExperimentConfig,
     _critical_q,
     _median_ci_rank,
+    _proxy_indicator,
     estimate_lambda_c,
     estimate_qc,
     run_cascade_trial,
@@ -135,10 +141,11 @@ def test_failure_sweep_monotone_in_rule():
         trials=60,
         base_seed=21,
     )
+    # the rules share each trial's graph and failure uniforms, so a larger q
+    # keeps a subset of the survivors and can only lose crossings
     pts = run_sweep(cfg).points
     for a, b in zip(pts, pts[1:]):
-        slack = 3 * np.sqrt(a.stderr**2 + b.stderr**2)
-        assert b.estimate <= a.estimate + slack
+        assert b.estimate <= a.estimate
 
 
 def test_percolation_sweep_monotone_in_density():
@@ -163,12 +170,65 @@ def test_estimators_deterministic():
 
 
 def test_failure_with_zero_rate_matches_unfailed():
-    base = dict(width=25.0, height=25.0, lambdas=(2.0,), trials=25, base_seed=5)
+    base = dict(width=25.0, height=25.0, lambdas=(1.4, 1.6), trials=25, base_seed=5)
     plain = run_sweep(ExperimentConfig(kind="percolation-sweep", **base))
-    noop = run_sweep(
-        ExperimentConfig(kind="failure-sweep", rules=(IndependentFailure(0.0),), **base)
+    rules = (IndependentFailure(0.0), IndependentFailure(0.3))
+    noop = run_sweep(ExperimentConfig(kind="failure-sweep", rules=rules, **base))
+    for i, lam in enumerate(base["lambdas"]):
+        point = noop.points[i * len(rules)]
+        assert point.params == {"lambda": lam, "rule": "indep:0.0"}
+        assert point.estimate == plain.points[i].estimate
+
+
+def _coupled_failure_config(proxy: str) -> ExperimentConfig:
+    return ExperimentConfig(
+        kind="failure-sweep",
+        width=15.0,
+        height=15.0,
+        lambdas=(2.0, 3.0),
+        rules=(IndependentFailure(0.2), DegreeFunctionFailure((0.0, 0.1, 0.3), 0.5),
+               ThresholdAttack(5)),
+        trials=6,
+        base_seed=19,
+        proxy=proxy,
     )
-    assert plain.points[0].estimate == noop.points[0].estimate
+
+
+def test_failure_sweep_builds_one_graph_per_lambda_trial(monkeypatch):
+    built = []
+
+    def counting_build_graph(*args, **kwargs):
+        built.append(1)
+        return build_graph(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_graph", counting_build_graph)
+    cfg = _coupled_failure_config("crossing")
+    assert len(run_sweep(cfg).points) == 6
+    assert len(built) == 2 * cfg.trials
+
+
+@pytest.mark.parametrize("proxy", ["crossing", "giant-fraction"])
+def test_failure_sweep_replays_from_lambda_trial_seeds(proxy):
+    # every point is the mean of direct replays of its rule on the trial
+    # graphs of its lambda, all rules reading the same failure uniforms
+    cfg = _coupled_failure_config(proxy)
+    points = iter(run_sweep(cfg).points)
+    for i, lam in enumerate(cfg.lambdas):
+        graphs = [
+            (seed, build_graph(
+                generate_poisson(lam, cfg.region, substream(seed, STREAM_PLACEMENT)), cfg.radius
+            ))
+            for seed in trial_seeds(cfg, i)
+        ]
+        for rule in cfg.rules:
+            hits = 0.0
+            for seed, graph in graphs:
+                alive = apply_failures(graph, rule, substream(seed, STREAM_FAILURES)).alive
+                hits += _proxy_indicator(cfg, graph, alive)
+            point = next(points)
+            assert point.params == {"lambda": lam, "rule": rule.to_text()}
+            assert point.estimate == hits / cfg.trials
+            assert type(point.estimate) is float and type(point.stderr) is float
 
 
 def test_estimate_lambda_c_validates_inputs():

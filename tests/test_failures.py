@@ -12,7 +12,8 @@ from geoperc.failures import (
     thinning_check,
 )
 from geoperc.geometry import Region, TORUS, generate_poisson, generate_uniform
-from geoperc.graph import build_graph
+from geoperc.graph import build_graph, crosses, crossing_level
+from geoperc.theory import critical_phi
 
 
 def test_rule_validation():
@@ -162,3 +163,22 @@ def test_degree_margin_rule_shape():
     assert rule.tail == pytest.approx(margin)
     with pytest.raises(ValueError):
         degree_margin_rule(0.0, 5)
+
+
+@pytest.mark.parametrize("lam", [3.0, 5.0, 10.0])
+def test_smallest_crossing_attack_threshold_exceeds_critical_phi(lam):
+    # ThresholdAttack(phi) keeps exactly the nodes with -degree >= -phi, so
+    # phi* = -crossing_level(graph, -degrees) is the smallest attack threshold
+    # whose survivors still cross. The paper's attack result: no threshold at
+    # or below critical_phi(lam) leaves a percolating network.
+    side = 25.0
+    rect = (0.0, 0.0, side, side)
+    for seed in range(10):
+        graph = build_graph(generate_poisson(lam, Region(side, side), seed), 1.0)
+        level = crossing_level(graph, -graph.degrees, rect)
+        assert level is not None, seed
+        phi_star = int(-level)
+        assert phi_star > critical_phi(lam), (seed, phi_star)
+        for phi, expected in ((phi_star, True), (phi_star - 1, False)):
+            alive = apply_failures(graph, ThresholdAttack(phi), seed).alive
+            assert crosses(graph, alive, rect) is expected, (seed, phi)
