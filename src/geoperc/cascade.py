@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ComponentLabeling, SpatialGraph, _expand_frontier, components
+from .graph import ComponentLabeling, SpatialGraph, _neighbor_counts, components
 from .seeding import generator_from_seed
 
 _MASS_TOLERANCE = 1e-12
@@ -170,14 +170,7 @@ def classify(graph: SpatialGraph, thresholds: np.ndarray) -> NodeClassification:
     vulnerable = (k >= 1) & (psi <= 1.0 / safe_k)
     reliable = (k == 0) | (psi > (k - 1) / safe_k)
     unreliable = ~reliable
-
-    e = graph.edges
-    reliable_nbrs = np.zeros(n)
-    if len(e):
-        reliable_nbrs = np.bincount(
-            e[:, 0], weights=reliable[e[:, 1]].astype(np.float64), minlength=n
-        ) + np.bincount(e[:, 1], weights=reliable[e[:, 0]].astype(np.float64), minlength=n)
-    isolated_reliable = reliable & (k >= 1) & (reliable_nbrs == 0)
+    isolated_reliable = reliable & (k >= 1) & (_neighbor_counts(graph, reliable) == 0)
     return NodeClassification(vulnerable, reliable, unreliable, isolated_reliable)
 
 
@@ -219,29 +212,24 @@ def run_cascade(graph: SpatialGraph, thresholds: np.ndarray, seed_node: int) -> 
         raise ValueError(f"threshold vector shape {psi.shape} does not match node count {n}")
     if not 0 <= seed_node < n:
         raise ValueError(f"seed node {seed_node} outside [0, {n})")
+    # a node that no failure has reached has fraction 0 and must stay up
+    if not (psi > 0).all():
+        i = int(np.argmin(psi > 0))
+        raise ValueError(f"thresholds[{i}] = {psi[i]} is not positive")
 
-    degrees = graph.degrees
+    safe_k = np.maximum(graph.degrees, 1)
     failed = np.zeros(n, dtype=bool)
     failed[seed_node] = True
+    newly = failed.copy()
     failed_nbrs = np.zeros(n, dtype=np.int64)
     rounds = [np.array([seed_node], dtype=np.int64)]
-    frontier = rounds[0]
-    while frontier.size:
-        nbrs = _expand_frontier(graph, frontier)
-        if nbrs.size == 0:
+    while True:
+        failed_nbrs += _neighbor_counts(graph, newly)
+        newly = ~failed & (failed_nbrs / safe_k >= psi)
+        if not newly.any():
             break
-        np.add.at(failed_nbrs, nbrs, 1)
-        cand = np.unique(nbrs)
-        cand = cand[~failed[cand]]
-        if cand.size == 0:
-            break
-        fraction = failed_nbrs[cand] / degrees[cand]
-        newly = cand[fraction >= psi[cand]]
-        if newly.size == 0:
-            break
-        failed[newly] = True
-        rounds.append(newly)
-        frontier = newly
+        failed |= newly
+        rounds.append(np.flatnonzero(newly))
     return CascadeState(psi, failed, tuple(rounds), seed_node)
 
 
@@ -257,10 +245,4 @@ def isolated_reliable_count_check(graph: SpatialGraph, thresholds: np.ndarray) -
     node are themselves adjacent, and adjacent reliable nodes are not isolated.
     """
     iso = classify(graph, thresholds).isolated_reliable
-    e = graph.edges
-    if len(e) == 0:
-        return 0
-    n = len(graph)
-    counts = np.bincount(e[:, 0], weights=iso[e[:, 1]].astype(np.float64), minlength=n)
-    counts += np.bincount(e[:, 1], weights=iso[e[:, 0]].astype(np.float64), minlength=n)
-    return int(counts.max())
+    return int(_neighbor_counts(graph, iso).max(initial=0))

@@ -35,7 +35,7 @@ from .cascade import (
 )
 from .failures import FailureRule, apply_failures, parse_rule
 from .geometry import OPEN_BOX, Region, generate_poisson, generate_uniform
-from .graph import SpatialGraph, build_graph, components, crosses, crossing_level
+from .graph import SpatialGraph, _neighbor_counts, build_graph, components, crosses, crossing_level
 from .seeding import (
     STREAM_FAILURES,
     STREAM_PLACEMENT,
@@ -56,11 +56,28 @@ COUNT_MODES = ("poisson", "fixed")
 def _integer_field(doc: dict, name: str, default: int | None) -> int | None:
     """doc[name] as an int; NaN, infinities and non-integral values fail by name."""
     value = doc.get(name, default)
-    if value is None or isinstance(value, int):
+    if value is None or isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _typed(value, name: str, types, what: str):
+    """value if it has one of the JSON types; otherwise an error naming the field.
+    JSON true and false are not numbers, though Python's bool is an int."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float; an integer past the float range becomes inf,
+    which the config's finiteness check then rejects by name."""
+    try:
+        return float(_typed(value, name, (int, float), "a finite number"))
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -135,22 +152,26 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ValueError("experiment config must be a JSON object")
-        region = doc.get("region", {})
+        region = _typed(doc.get("region", {}), "region", dict, "an object")
+        lambdas = _typed(doc.get("lambdas", []), "lambdas", list, "a list")
+        rules = _typed(doc.get("rules", []), "rules", list, "a list")
         dist = doc.get("distribution")
         return cls(
             kind=doc.get("kind", ""),
-            width=float(region.get("width", 0.0)),
-            height=float(region.get("height", 0.0)),
+            width=_number(region.get("width", 0.0), "width"),
+            height=_number(region.get("height", 0.0), "height"),
             boundary=region.get("boundary", OPEN_BOX),
-            radius=float(doc.get("radius", 1.0)),
-            lambdas=tuple(float(v) for v in doc.get("lambdas", [])),
-            rules=tuple(parse_rule(t) for t in doc.get("rules", [])),
-            distribution=None if dist is None else parse_distribution(dist),
+            radius=_number(doc.get("radius", 1.0), "radius"),
+            lambdas=tuple(_number(v, f"lambdas[{i}]") for i, v in enumerate(lambdas)),
+            rules=tuple(parse_rule(_typed(t, f"rules[{i}]", str, "a string"))
+                        for i, t in enumerate(rules)),
+            distribution=None if dist is None
+            else parse_distribution(_typed(dist, "distribution", str, "a string")),
             seeding=doc.get("seeding", "random-node"),
             trials=_integer_field(doc, "trials", 100),
             base_seed=_integer_field(doc, "base_seed", 0),
             proxy=doc.get("proxy", "crossing"),
-            giant_threshold=float(doc.get("giant_threshold", 0.1)),
+            giant_threshold=_number(doc.get("giant_threshold", 0.1), "giant_threshold"),
             count_mode=doc.get("count_mode", "poisson"),
             n=_integer_field(doc, "n", None),
         )
@@ -479,12 +500,7 @@ def run_cascade_trial(
         if labeling.largest_size == 0:
             return CascadeTrialRecord(trial_seed, False, None, 0.0, 0, 0.0, 0, 0.0, False)
         in_comp = labeling.labels == labeling.largest_id
-        e = graph.edges
-        touches = np.zeros(n, dtype=bool)
-        if len(e):
-            touches[e[:, 0][in_comp[e[:, 1]]]] = True
-            touches[e[:, 1][in_comp[e[:, 0]]]] = True
-        candidates = np.flatnonzero(touches & ~in_comp)
+        candidates = np.flatnonzero((_neighbor_counts(graph, in_comp) > 0) & ~in_comp)
         if candidates.size == 0:
             candidates = np.flatnonzero(in_comp)
         seed_node = int(candidates[gen.integers(len(candidates))])

@@ -53,9 +53,10 @@ class PointSet:
         object.__setattr__(self, "coordinates", coords)
         if len(coords):
             x, y = coords[:, 0], coords[:, 1]
-            outside = (x < 0) | (x > self.region.width) | (y < 0) | (y > self.region.height)
-            if outside.any():
-                i = int(np.flatnonzero(outside)[0])
+            # written so that a NaN coordinate counts as outside
+            inside = (x >= 0) & (x <= self.region.width) & (y >= 0) & (y <= self.region.height)
+            if not inside.all():
+                i = int(np.argmin(inside))
                 raise ValueError(
                     f"points[{i}] = ({coords[i, 0]}, {coords[i, 1]}) lies outside the region"
                 )

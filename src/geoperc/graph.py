@@ -5,11 +5,13 @@ connection radius, so candidate pairs only come from 3x3 cell neighborhoods.
 Two nodes are adjacent iff their distance is <= radius (ties included), using
 the wrap-around metric on a torus region.
 
-Each block of cell pairs keeps only its pairs within radius, as both directed
-keys ``a * n + b`` and ``b * n + a``. One sort of all keys gives the layout:
-``indices`` are the key destinations in order, ``indptr`` counts the sources,
-and rows with ``a < b`` are ``edges``. Only a torus with fewer than 3 cells on
-an axis can revisit a cell pair, so only there are the keys deduplicated.
+The graph is its edge list and degrees, nothing more. Each block of cell pairs
+keeps only its pairs within radius, as one key ``min(a, b) * n + max(a, b)``
+per edge. One sort of those keys gives ``edges``, rows u < v in lexicographic
+order; ``degrees`` counts both ends. Only a torus with fewer than 3 cells on an
+axis can revisit a cell pair, so only there are the keys deduplicated. Every
+per-node count over neighbors (failed neighbors in a cascade, reliable
+neighbors in a classification) is one ``_neighbor_counts`` over the edges.
 
 Connectivity has one primitive, ``_component_roots``: given an edge list, every
 node gets the smallest node index of its component, by min-label hooking and
@@ -35,17 +37,16 @@ _HALF_OFFSETS = ((1, 0), (0, 1), (1, 1), (-1, 1))
 
 @dataclass(frozen=True)
 class SpatialGraph:
-    """Immutable geometric graph: points, radius, CSR adjacency, edge list."""
+    """Immutable geometric graph: points, radius, the int64 edge list (E, 2)
+    with rows u < v in lexicographic order, and the int64 degree per node."""
 
     points: PointSet
     radius: float
-    indptr: np.ndarray
-    indices: np.ndarray
-    edges: np.ndarray  # (E, 2), each row u < v
+    edges: np.ndarray
     degrees: np.ndarray
 
     def __post_init__(self):
-        for name in ("indptr", "indices", "edges", "degrees"):
+        for name in ("edges", "degrees"):
             getattr(self, name).setflags(write=False)
 
     def __len__(self) -> int:
@@ -58,9 +59,6 @@ class SpatialGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def mean_degree(self) -> float:
         return float(self.degrees.mean()) if len(self) else 0.0
@@ -143,17 +141,21 @@ def build_graph(points: PointSet, radius: float = 1.0) -> SpatialGraph:
             close = dx * dx + dy * dy <= r2
             a = order[left[close]]
             b = order[right[close]]
-            keys += (a * n + b, b * n + a)
+            keys.append(np.minimum(a, b) * n + np.maximum(a, b))
         key = np.concatenate(keys)
         # wrap-around offsets revisit a cell pair only on a torus axis with < 3 cells
         key = np.unique(key) if torus and min(ncx, ncy) < 3 else np.sort(key)
 
     src, dst = np.divmod(key, n)
-    degrees = np.bincount(src, minlength=n)
-    indptr = np.concatenate(([0], np.cumsum(degrees)))
-    forward = src < dst
-    edges = np.column_stack((src[forward], dst[forward]))
-    return SpatialGraph(points, float(radius), indptr, dst, edges, degrees)
+    degrees = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
+    return SpatialGraph(points, float(radius), np.column_stack((src, dst)), degrees)
+
+
+def _neighbor_counts(graph: SpatialGraph, mask: np.ndarray) -> np.ndarray:
+    """Per node, how many of its neighbors lie in the boolean node mask."""
+    u, v = graph.edges.T
+    n = len(graph)
+    return np.bincount(v[mask[u]], minlength=n) + np.bincount(u[mask[v]], minlength=n)
 
 
 @dataclass(frozen=True)
@@ -215,16 +217,6 @@ def components(graph: SpatialGraph, alive) -> ComponentLabeling:
         largest_id = -1
         largest_size = 0
     return ComponentLabeling(labels, sizes.astype(np.int64), largest_id, largest_size)
-
-
-def _expand_frontier(graph: SpatialGraph, frontier: np.ndarray) -> np.ndarray:
-    counts = graph.indptr[frontier + 1] - graph.indptr[frontier]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.repeat(graph.indptr[frontier], counts)
-    offsets = np.repeat(np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    return graph.indices[np.arange(total) - offsets + starts]
 
 
 def _strips(graph: SpatialGraph, rect, direction: str):

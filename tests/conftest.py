@@ -27,10 +27,20 @@ def brute_force_edges(points, radius):
     }
 
 
+def neighbor_lists(graph):
+    """Plain-Python adjacency lists from the edge list, each ascending."""
+    nbrs = [[] for _ in range(len(graph))]
+    for u, v in graph.edges.tolist():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return [sorted(a) for a in nbrs]
+
+
 def bfs_component_labels(graph, alive):
     """Reference labels via plain breadth-first search: components numbered in
     the order of their smallest alive node, -1 on dead nodes."""
     n = len(graph)
+    nbrs = neighbor_lists(graph)
     labels = [-1] * n
     count = 0
     for s in range(n):
@@ -40,7 +50,7 @@ def bfs_component_labels(graph, alive):
         labels[s] = count
         while queue:
             u = queue.pop()
-            for v in graph.neighbors(u).tolist():
+            for v in nbrs[u]:
                 if alive[v] and labels[v] < 0:
                     labels[v] = count
                     queue.append(v)
@@ -69,13 +79,14 @@ def bfs_crosses(graph, alive, rect, direction):
             start.add(i)
         if 0 < hi - c < r:
             end.add(i)
+    nbrs = neighbor_lists(graph)
     seen = set(start)
     queue = list(start)
     while queue:
         u = queue.pop()
         if u in end:
             return True
-        for v in graph.neighbors(u).tolist():
+        for v in nbrs[u]:
             if v in inside and v not in seen:
                 seen.add(v)
                 queue.append(v)

@@ -19,6 +19,8 @@ from geoperc.cascade import (
 from geoperc.geometry import PointSet, Region, generate_uniform
 from geoperc.graph import build_graph, components
 
+from conftest import neighbor_lists
+
 UNIFORM = ThresholdDistribution.uniform()
 HEAVY_LOW = ThresholdDistribution(((0.0, 0.1, 7.5), (0.1, 1.0, 5 / 18)))
 NEAR_ONE = ThresholdDistribution(((0.0, 0.999, 1 / 999), (0.999, 1.0, 999.0)))
@@ -33,6 +35,7 @@ def _graph_from_coords(coords, side=10.0, radius=1.0):
 def async_cascade_oracle(graph, thresholds, seed_node):
     """One eligible node fails per step (lowest index first)."""
     n = len(graph)
+    nbrs = neighbor_lists(graph)
     failed = np.zeros(n, dtype=bool)
     failed[seed_node] = True
     while True:
@@ -40,7 +43,7 @@ def async_cascade_oracle(graph, thresholds, seed_node):
         for i in range(n):
             if failed[i] or graph.degrees[i] == 0:
                 continue
-            frac = failed[graph.neighbors(i)].sum() / graph.degrees[i]
+            frac = failed[nbrs[i]].sum() / graph.degrees[i]
             if frac >= thresholds[i]:
                 failed[i] = True
                 progressed = True
@@ -190,26 +193,30 @@ class TestRunCascade:
             run_cascade(g, np.array([0.5]), seed_node=5)
         with pytest.raises(ValueError):
             run_cascade(g, np.array([0.5, 0.5]), seed_node=0)
+        for psi in (0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match=r"thresholds\[0\]"):
+                run_cascade(g, np.array([psi]), seed_node=0)
 
     def test_round_replay_reproduces_final_mask(self):
         pts = generate_uniform(300, Region(12.0, 12.0), seed=40)
         g = build_graph(pts, 1.0)
         psi = sample_thresholds(g, HEAVY_LOW, seed=41)
         state = run_cascade(g, psi, seed_node=7)
+        nbrs = neighbor_lists(g)
         failed = np.zeros(len(g), dtype=bool)
         for t, round_nodes in enumerate(state.rounds):
             for i in round_nodes.tolist():
                 if t == 0:
                     assert i == 7
                     continue
-                frac = failed[g.neighbors(i)].sum() / g.degrees[i]
+                frac = failed[nbrs[i]].sum() / g.degrees[i]
                 assert frac >= psi[i]
             failed[round_nodes] = True
         assert np.array_equal(failed, state.failed)
         # no operational node should have a triggering fraction left
         for i in np.flatnonzero(~state.failed).tolist():
             if g.degrees[i]:
-                assert failed[g.neighbors(i)].sum() / g.degrees[i] < psi[i]
+                assert failed[nbrs[i]].sum() / g.degrees[i] < psi[i]
 
     def test_vulnerable_neighbor_fails_next_round(self):
         pts = generate_uniform(250, Region(10.0, 10.0), seed=50)
@@ -217,6 +224,7 @@ class TestRunCascade:
         psi = sample_thresholds(g, HEAVY_LOW, seed=51)
         state = run_cascade(g, psi, seed_node=0)
         vulnerable = classify(g, psi).vulnerable
+        nbrs = neighbor_lists(g)
         failed_so_far = np.zeros(len(g), dtype=bool)
         for t, round_nodes in enumerate(state.rounds):
             failed_so_far[round_nodes] = True
@@ -225,7 +233,7 @@ class TestRunCascade:
             else:
                 next_round = set()
             for i in np.flatnonzero(vulnerable & ~failed_so_far).tolist():
-                if failed_so_far[g.neighbors(i)].any():
+                if failed_so_far[nbrs[i]].any():
                     assert i in next_round
 
     def test_adjacent_reliable_pair_survives(self):
@@ -249,6 +257,32 @@ class TestRunCascade:
         base = run_cascade(g, psi, seed_node=0).failed
         more = run_cascade(g, lowered, seed_node=0).failed
         assert (base <= more).all()
+
+    @settings(max_examples=15)
+    @given(
+        seed=st.integers(0, 2**32),
+        seed_node=st.integers(0, 99),
+        dist=st.sampled_from([HEAVY_LOW, UNIFORM]),
+    )
+    def test_rounds_match_synchronous_oracle(self, seed, seed_node, dist):
+        pts = generate_uniform(100, Region(7.0, 7.0), seed=seed)
+        g = build_graph(pts, 1.0)
+        nbrs = neighbor_lists(g)
+        psi = sample_thresholds(g, dist, seed=seed + 3)
+        state = run_cascade(g, psi, seed_node)
+        failed = np.zeros(len(g), dtype=bool)
+        failed[seed_node] = True
+        expected = [[seed_node]]
+        while True:
+            # every operational node triggered by the failures through the last round
+            nxt = [i for i in range(len(g)) if not failed[i] and nbrs[i]
+                   and failed[nbrs[i]].sum() / len(nbrs[i]) >= psi[i]]
+            if not nxt:
+                break
+            failed[nxt] = True
+            expected.append(nxt)
+        assert [r.tolist() for r in state.rounds] == expected
+        assert np.array_equal(state.failed, failed)
 
     @settings(max_examples=15)
     @given(seed=st.integers(0, 2**32), seed_node=st.integers(0, 99))

@@ -101,6 +101,8 @@ def test_sweep_rejects_estimator_kind_up_front(tmp_path, capsys):
         ("radius", math.nan, "radius"),
         ("lambdas", [1.0, math.nan], "lambdas[1]"),
         ("giant_threshold", math.nan, "giant_threshold"),
+        ("lambdas", ["x"], "lambdas[0]"),
+        pytest.param("radius", 10**400, "radius", id="radius-int-past-float-range"),
     ],
 )
 def test_sweep_config_non_finite_field_rejected_by_name(tmp_path, capsys, field, value, name):
@@ -120,9 +122,33 @@ def test_sweep_config_non_finite_field_rejected_by_name(tmp_path, capsys, field,
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("region", [5, 5], "region must be an object"),
+        ("lambdas", 5, "lambdas must be a list"),
+        ("rules", "indep:0.3", "rules must be a list"),
+        ("rules", [5], "rules[0] must be a string"),
+        ("distribution", 5, "distribution must be a string"),
+        ("radius", "1.0", "radius must be a finite number"),
+        ("giant_threshold", True, "giant_threshold must be a finite number"),
+    ],
+)
+def test_sweep_config_wrong_json_type_rejected_by_name(tmp_path, capsys, field, value, message):
+    config = {"kind": "percolation-sweep", "region": {"width": 15, "height": 15},
+              "lambdas": [1.0], "trials": 2, field: value}
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(config, fh)
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg_path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}, got "), err
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("trials", "1e400"), ("trials", "NaN"), ("trials", "2.5"), ("base_seed", "-Infinity"),
-     ("n", "NaN")],
+     ("n", "NaN"), ("trials", "true")],
 )
 def test_sweep_config_bad_integer_field_rejected_by_name(tmp_path, capsys, field, value):
     cfg_path = str(tmp_path / "cfg.json")
@@ -211,15 +237,16 @@ def test_graph_round_trip(tmp_path):
 
 def test_load_rejects_point_outside_region(tmp_path):
     path = str(tmp_path / "bad.json")
-    doc = {
-        "region": {"width": 5.0, "height": 5.0, "boundary": "open-box"},
-        "radius": 1.0,
-        "points": [[1.0, 1.0], [9.0, 1.0]],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    with pytest.raises(SchemaError, match=r"points\[1\]"):
-        load_graph(path)
+    for bad in ([9.0, 1.0], [math.nan, 1.0], [1.0, math.inf], [-math.inf, 1.0]):
+        doc = {
+            "region": {"width": 5.0, "height": 5.0, "boundary": "open-box"},
+            "radius": 1.0,
+            "points": [[1.0, 1.0], bad],
+        }
+        with open(path, "w") as fh:
+            json.dump(doc, fh)  # writes NaN / Infinity, which json.load accepts
+        with pytest.raises(SchemaError, match=r"points\[1\]"):
+            load_graph(path)
 
 
 def test_load_missing_boundary_defaults_with_warning():

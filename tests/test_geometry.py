@@ -19,8 +19,9 @@ def test_region_validation():
 
 
 def test_pointset_rejects_outside_points():
-    with pytest.raises(ValueError, match=r"points\[1\]"):
-        PointSet([[1.0, 1.0], [6.0, 1.0]], Region(5.0, 5.0), 2 / 25)
+    for bad in ([6.0, 1.0], [np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf]):
+        with pytest.raises(ValueError, match=r"points\[1\]"):
+            PointSet([[1.0, 1.0], bad], Region(5.0, 5.0), 2 / 25)
 
 
 def test_generate_uniform_empty():
