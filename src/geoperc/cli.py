@@ -29,6 +29,7 @@ from .graph import build_graph
 from .io import (
     SchemaError,
     cascade_rows,
+    graph_to_dict,
     load_graph,
     save_graph,
     sweep_rows,
@@ -106,8 +107,6 @@ def _cmd_generate(args) -> int:
         print(json.dumps({**meta, "nodes": len(graph), "edges": graph.edge_count,
                           "out": args.out}, allow_nan=False))
     else:
-        from .io import graph_to_dict
-
         print(json.dumps(graph_to_dict(graph, meta=meta), allow_nan=False))
     return 0
 
@@ -208,6 +207,9 @@ def _cmd_theory(args) -> int:
         doc = {"condition": "block-cap", "lambda": args.lam, "d": args.d,
                "cap": block_count_cap(args.lam, args.d)}
     elif sub == "circuit-bound":
+        # the bound has ~0.95 m digits; Python prints at most 4300 by default
+        if args.m > 4000:
+            raise ValueError(f"--m must be at most 4000, got {args.m}")
         doc = {"condition": "circuit-bound", "m": args.m,
                "bound": circuit_count_bound(args.m)}
     else:  # pragma: no cover - argparse restricts choices

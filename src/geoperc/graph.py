@@ -1,17 +1,20 @@
 """Geometric graph construction and connectivity analysis.
 
-Adjacency is built with a uniform spatial grid whose cell side is at least the
-connection radius, so candidate pairs only come from 3x3 cell neighborhoods.
-Two nodes are adjacent iff their distance is <= radius (ties included), using
-the wrap-around metric on a torus region.
+Adjacency is built on a dense table of at most n grid cells, each at least the
+connection radius wide, padded with a row above and a column on each side that
+read as empty past an open box and as the wrapped cell on a torus. In cell
+order, each point pairs with contiguous ranges: the later points of its own
+cell, then the whole cell at each half-offset of its 3x3 neighborhood. Two
+nodes are adjacent iff their distance is <= radius (ties included), using the
+wrap-around metric on a torus region.
 
-The graph is its edge list and degrees, nothing more. Each block of cell pairs
-keeps only its pairs within radius, as one key ``min(a, b) * n + max(a, b)``
-per edge. One sort of those keys gives ``edges``, rows u < v in lexicographic
-order; ``degrees`` counts both ends. Only a torus with fewer than 3 cells on an
-axis can revisit a cell pair, so only there are the keys deduplicated. Every
-per-node count over neighbors (failed neighbors in a cascade, reliable
-neighbors in a classification) is one ``_neighbor_counts`` over the edges.
+The graph is its edge list and degrees, nothing more. The candidates within
+radius become one key ``min(a, b) * n + max(a, b)`` per edge. One sort of
+those keys gives ``edges``, rows u < v in lexicographic order; ``degrees``
+counts both ends. Only a torus with fewer than 3 cells on an axis can revisit
+a cell pair, so only there are the keys deduplicated. Every per-node count
+over neighbors (failed neighbors in a cascade, reliable neighbors in a
+classification) is one ``_neighbor_counts`` over the edges.
 
 Connectivity has one primitive, ``_component_roots``: given an edge list, every
 node gets the smallest node index of its component, by min-label hooking and
@@ -30,7 +33,7 @@ import numpy as np
 
 from .geometry import TORUS, PointSet
 
-# Half of the 3x3 neighborhood: together with the within-cell pass, every
+# Half of the 3x3 neighborhood: together with the within-cell ranges, every
 # unordered pair of neighboring cells is visited exactly once.
 _HALF_OFFSETS = ((1, 0), (0, 1), (1, 1), (-1, 1))
 
@@ -53,10 +56,6 @@ class SpatialGraph:
         return len(self.points)
 
     @property
-    def node_count(self) -> int:
-        return len(self.points)
-
-    @property
     def edge_count(self) -> int:
         return len(self.edges)
 
@@ -64,63 +63,44 @@ class SpatialGraph:
         return float(self.degrees.mean()) if len(self) else 0.0
 
 
-def _block_pairs(a_starts, a_counts, b_starts, b_counts):
-    """Positions of all cartesian pairs across per-block slice ranges."""
-    sizes = a_counts * b_counts
-    total = int(sizes.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    t = np.arange(total) - offsets[block]
-    nb = b_counts[block]
-    left = a_starts[block] + t // nb
-    right = b_starts[block] + t % nb
+def _range_pairs(lo, hi):
+    """Pairs (i, j) for every i and every j with lo[i] <= j < hi[i]."""
+    size = hi - lo
+    left = np.repeat(np.arange(len(lo)), size)
+    # the k-th pair of i sits k places past i's first and has j = lo[i] + k
+    right = np.arange(len(left)) + (lo - (np.cumsum(size) - size))[left]
     return left, right
 
 
-def _candidate_pairs(ucell, ustart, ucount, ncx, ncy, torus):
-    """Cell-sorted positions of candidate pairs: within cells, then per half-offset."""
-    left, right = _block_pairs(ustart, ucount, ustart, ucount)
-    keep = left < right
-    yield left[keep], right[keep]
-
-    ucy, ucx = np.divmod(ucell, ncx)
+def _candidate_pairs(own, start, end, row):
+    """Cell-sorted positions of candidate pairs: each point with the later
+    points of its own cell ``own``, then with the whole cell at each
+    half-offset, in the cell table ``start``, ``end`` of ``row`` cells a row."""
+    yield _range_pairs(np.arange(1, len(own) + 1), end[own])
     for dx, dy in _HALF_OFFSETS:
-        nx = ucx + dx
-        ny = ucy + dy
-        if torus:
-            nx %= ncx
-            ny %= ncy
-            # on a 1-cell axis the offset maps a cell onto itself, whose
-            # pairs the within-cell block already has
-            valid = (nx != ucx) | (ny != ucy)
-        else:
-            valid = (nx >= 0) & (nx < ncx) & (ny >= 0) & (ny < ncy)
-        nid = ny * ncx + nx
-        pos = np.searchsorted(ucell, nid[valid])
-        pos = np.minimum(pos, len(ucell) - 1)
-        found = ucell[pos] == nid[valid]
-        a = np.flatnonzero(valid)[found]
-        b = pos[found]
-        yield _block_pairs(ustart[a], ucount[a], ustart[b], ucount[b])
+        nbr = own + (dy * row + dx)
+        yield _range_pairs(start[nbr], end[nbr])
 
 
 def build_graph(points: PointSet, radius: float = 1.0) -> SpatialGraph:
     """Connect every pair of points at distance <= radius."""
     if not (radius > 0 and np.isfinite(radius)):
         raise ValueError(f"radius must be positive and finite, got {radius}")
+    radius = float(radius)
     region = points.region
     n = len(points)
     torus = region.boundary == TORUS
     key = np.empty(0, dtype=np.int64)
 
     if n >= 2:
-        # at most 2**31 cells per axis keep cell ids within int64; fewer cells
-        # are only larger, which the 3x3 scan still covers
-        ncx = max(1, int(min(region.width / radius, 2**31)))
-        ncy = max(1, int(min(region.height / radius, 2**31)))
+        # at most n cells, each at least radius wide; fewer cells are only
+        # larger, which the 3x3 scan still covers. Each axis is clamped to
+        # [1, n] before scaling, so an overflowing width / radius stays finite.
+        fx = min(max(region.width / radius, 1.0), n)
+        fy = min(max(region.height / radius, 1.0), n)
+        scale = min(1.0, (n / (fx * fy)) ** 0.5)
+        ncx = max(1, int(fx * scale))
+        ncy = max(1, int(fy * scale))
         coords = points.coordinates
         ix = np.minimum((coords[:, 0] * (ncx / region.width)).astype(np.int64), ncx - 1)
         iy = np.minimum((coords[:, 1] * (ncy / region.height)).astype(np.int64), ncy - 1)
@@ -128,11 +108,19 @@ def build_graph(points: PointSet, radius: float = 1.0) -> SpatialGraph:
 
         order = np.argsort(cell, kind="stable")
         x, y = coords[order].T.copy()
-        ucell, ustart, ucount = np.unique(cell[order], return_index=True, return_counts=True)
+        count = np.bincount(cell, minlength=ncx * ncy)
+        end = np.cumsum(count)
+        # each cell's [start, end) in cell order, padded with a row above and a
+        # column each side: the cells they wrap onto on a torus axis of 2 or
+        # more cells, else empty (a 1-cell axis wraps a cell onto itself)
+        table = np.stack((end - count, end)).reshape(2, ncy, ncx)
+        table = np.pad(table, ((0, 0), (0, 1), (0, 0)), "wrap" if torus and ncy > 1 else "constant")
+        table = np.pad(table, ((0, 0), (0, 0), (1, 1)), "wrap" if torus and ncx > 1 else "constant")
+        own = (iy * (ncx + 2) + ix + 1)[order]
 
         r2 = radius * radius
         keys = []
-        for left, right in _candidate_pairs(ucell, ustart, ucount, ncx, ncy, torus):
+        for left, right in _candidate_pairs(own, *table.reshape(2, -1), ncx + 2):
             dx = np.abs(x[left] - x[right])
             dy = np.abs(y[left] - y[right])
             if torus:
@@ -148,7 +136,7 @@ def build_graph(points: PointSet, radius: float = 1.0) -> SpatialGraph:
 
     src, dst = np.divmod(key, n)
     degrees = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
-    return SpatialGraph(points, float(radius), np.column_stack((src, dst)), degrees)
+    return SpatialGraph(points, radius, np.column_stack((src, dst)), degrees)
 
 
 def _neighbor_counts(graph: SpatialGraph, mask: np.ndarray) -> np.ndarray:

@@ -25,6 +25,11 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _is_number(value) -> bool:
+    """JSON true and false are not numbers, though Python's bool is an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def graph_to_dict(graph: SpatialGraph, meta: dict | None = None) -> dict:
     region = graph.points.region
     doc = {
@@ -48,11 +53,9 @@ def graph_from_dict(doc: dict) -> SpatialGraph:
     _require(isinstance(region_doc, dict), "'region' must be an object")
     for key in ("width", "height"):
         _require(key in region_doc, f"missing field 'region.{key}'")
-        _require(
-            isinstance(region_doc[key], (int, float)), f"'region.{key}' must be a number"
-        )
+        _require(_is_number(region_doc[key]), f"'region.{key}' must be a number")
     _require("radius" in doc, "missing field 'radius'")
-    _require(isinstance(doc["radius"], (int, float)) and doc["radius"] > 0,
+    _require(_is_number(doc["radius"]) and doc["radius"] > 0,
              "'radius' must be a positive number")
     _require("points" in doc, "missing field 'points'")
     pts = doc["points"]
@@ -60,7 +63,7 @@ def graph_from_dict(doc: dict) -> SpatialGraph:
     for i, p in enumerate(pts):
         _require(
             isinstance(p, list) and len(p) == 2
-            and all(isinstance(c, (int, float)) for c in p),
+            and all(_is_number(c) for c in p),
             f"'points[{i}]' must be an [x, y] pair of numbers",
         )
     if "boundary" not in region_doc:

@@ -90,6 +90,9 @@ def _poisson_pmf(mean: float, tol: float, max_terms: int) -> np.ndarray:
     """pmf[0..K] of Poisson(mean) with remaining tail mass < tol."""
     if mean < 0:
         raise ValueError(f"Poisson mean must be non-negative, got {mean}")
+    if mean > 700:
+        # exp(-mean) is subnormal or 0 beyond ~708, so the series loses its mass
+        raise ValueError(f"Poisson mean {mean:g} from lambda is too large for float evaluation")
     terms = [math.exp(-mean)]
     cum = terms[0]
     k = 0
@@ -210,7 +213,10 @@ def block_count_cap(lam: float, block_edge: float) -> float:
     if block_edge <= 4:
         raise ValueError(f"block edge length must exceed 4, got {block_edge}")
     _require_positive(lam)
-    return 2.0 * (block_edge / 2.0 + 2.0) * (3.0 * block_edge / 2.0 + 2.0) * lam
+    cap = 2.0 * (block_edge / 2.0 + 2.0) * (3.0 * block_edge / 2.0 + 2.0) * lam
+    if not math.isfinite(cap):
+        raise ValueError(f"block cap for lambda={lam} and d={block_edge} is not finite")
+    return cap
 
 
 def critical_phi(lam: float) -> float:

@@ -207,6 +207,36 @@ def test_cascade_condition_output(capsys):
     assert doc["lhs"] < 1 / 27
 
 
+def test_circuit_bound_too_large_m_rejected_by_name(capsys):
+    code, out, err = run_cli(capsys, "theory", "circuit-bound", "--m", "5000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --m must be at most"), err
+    code, out, _ = run_cli(capsys, "theory", "circuit-bound", "--m", "4000")
+    assert code == 0
+    assert json.loads(out)["bound"] == 4 * 3999 * 3**7997
+
+
+def test_block_cap_overflow_names_lambda_and_d(capsys):
+    code, out, err = run_cli(capsys, "theory", "block-cap", "--lambda", "1e300", "--d", "1e300")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: block cap for lambda=1e+300 and d=1e+300"), err
+    assert "is not finite" in err
+
+
+@pytest.mark.parametrize("lam", ["1000", "120.6"])
+def test_cascade_condition_large_lambda_rejected_up_front(capsys, lam):
+    # lambda * COLLAR_AREA is 5970 and 720: exp(-mean) is subnormal or 0
+    code, out, err = run_cli(
+        capsys, "theory", "cascade-condition", "--lambda", lam, "--dist", "pieces:0,1,1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Poisson mean"), err
+    assert "from lambda is too large for float evaluation" in err
+
+
 def test_generate_then_fail_attack(tmp_path, capsys):
     graph_path = str(tmp_path / "g.json")
     code, out, _ = run_cli(
@@ -265,6 +295,16 @@ def test_schema_violations_name_the_field():
         (
             {"region": {"width": 5.0, "height": 5.0}, "radius": 1.0, "points": [[1.0]]},
             "points[0]",
+        ),
+        # JSON true and false are not numbers
+        ({"region": {"width": True, "height": 5.0}, "radius": 1.0, "points": []}, "region.width"),
+        ({"region": {"width": 5.0, "height": False}, "radius": 1.0, "points": []},
+         "region.height"),
+        ({"region": {"width": 5.0, "height": 5.0}, "radius": True, "points": []}, "radius"),
+        (
+            {"region": {"width": 5.0, "height": 5.0}, "radius": 1.0,
+             "points": [[1.0, 1.0], [True, False]]},
+            "points[1]",
         ),
     ):
         with pytest.raises(SchemaError) as err:

@@ -88,6 +88,41 @@ def test_extreme_width_radius_ratio_matches_brute_force(seed, side, boundary):
     _assert_canonical_layout(build_graph(pts, 0.1), pts, 0.1)
 
 
+def _capped_grid_points(case, seed, boundary):
+    rng = np.random.default_rng(seed)
+    if case == "spread":
+        # 600 points over 1e4 x 1e4 at radius 1: the n-cell cap binds with
+        # every cell in use, and each point has a partner within radius,
+        # across the region's edges for the 30 at a corner
+        side, radius = 1e4, 1.0
+        base = rng.uniform(0.0, side, size=(300, 2))
+        base[:30] %= 1.0
+        coords = np.vstack((base, (base + rng.uniform(-0.5, 0.5, size=(300, 2))) % side))
+    elif case == "overflow":
+        # side / radius overflows a float; only coincident points and points
+        # near the origin, where floats are dense, are within radius
+        side, radius = 1e15, 1e-300
+        sites = np.vstack((rng.uniform(0.0, side, size=(6, 2)), np.zeros((2, 2))))
+        coords = sites[rng.integers(0, len(sites), size=30)]
+        coords[:6, 0] += rng.choice([0.0, 5e-301, 1e-300, 3e-300], size=6)
+    else:
+        # 8 points at radius 1 on 1e3 x 1e3 leave 2 cells per axis; the pairs
+        # straddle the region's edges and corners
+        side, radius = 1e3, 1.0
+        base = rng.uniform(-1.0, 1.0, size=(4, 2)) % side
+        coords = np.vstack((base, (base + rng.uniform(-0.6, 0.6, size=(4, 2))) % side))
+    return PointSet(coords, Region(side, side, boundary), len(coords) / side**2), radius
+
+
+@pytest.mark.parametrize("boundary", [OPEN_BOX, TORUS])
+@pytest.mark.parametrize("case", ["spread", "overflow", "few-torus-cells"])
+def test_capped_cell_grid_matches_brute_force(case, boundary):
+    # at most n cells, each at least radius wide, whatever width / radius is
+    for seed in range(3):
+        pts, radius = _capped_grid_points(case, seed, boundary)
+        _assert_canonical_layout(build_graph(pts, radius), pts, radius)
+
+
 def test_graph_determinism(medium_graph):
     pts = generate_uniform(500, Region(14.0, 14.0), seed=99)
     again = build_graph(pts, 1.0)
