@@ -36,6 +36,7 @@ from .cascade import (
 from .failures import FailureRule, apply_failures, parse_rule
 from .geometry import OPEN_BOX, Region, generate_poisson, generate_uniform
 from .graph import SpatialGraph, _neighbor_counts, build_graph, components, crosses, crossing_level
+from .io import _is_number
 from .seeding import (
     STREAM_FAILURES,
     STREAM_PLACEMENT,
@@ -56,7 +57,7 @@ COUNT_MODES = ("poisson", "fixed")
 def _integer_field(doc: dict, name: str, default: int | None) -> int | None:
     """doc[name] as an int; NaN, infinities and non-integral values fail by name."""
     value = doc.get(name, default)
-    if value is None or isinstance(value, int) and not isinstance(value, bool):
+    if value is None or _is_number(value) and isinstance(value, int):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -64,9 +65,8 @@ def _integer_field(doc: dict, name: str, default: int | None) -> int | None:
 
 
 def _typed(value, name: str, types, what: str):
-    """value if it has one of the JSON types; otherwise an error naming the field.
-    JSON true and false are not numbers, though Python's bool is an int."""
-    if isinstance(value, bool) or not isinstance(value, types):
+    """value if it has one of the JSON types; otherwise an error naming the field."""
+    if not isinstance(value, types):
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return value
 
@@ -74,8 +74,10 @@ def _typed(value, name: str, types, what: str):
 def _number(value, name: str) -> float:
     """A JSON number as a float; an integer past the float range becomes inf,
     which the config's finiteness check then rejects by name."""
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     try:
-        return float(_typed(value, name, (int, float), "a finite number"))
+        return float(value)
     except OverflowError:
         return math.inf
 

@@ -1,12 +1,13 @@
 """Geometric graph construction and connectivity analysis.
 
-Adjacency is built on a dense table of at most n grid cells, each at least the
-connection radius wide, padded with a row above and a column on each side that
-read as empty past an open box and as the wrapped cell on a torus. In cell
-order, each point pairs with contiguous ranges: the later points of its own
-cell, then the whole cell at each half-offset of its 3x3 neighborhood. Two
-nodes are adjacent iff their distance is <= radius (ties included), using the
-wrap-around metric on a torus region.
+Adjacency is built on a grid of cells at least the connection radius wide, so
+candidate pairs only come from 3x3 cell neighborhoods and follow the density
+of the points wherever they sit. In cell order each cell's points are
+contiguous, so each point pairs with contiguous ranges found by binary search
+over the sorted cell ids: the later points of its own cell, then the whole
+cell at each half-offset of its 3x3 neighborhood (empty past an open box, the
+wrapped cell on a torus). Two nodes are adjacent iff their distance is <=
+radius (ties included), using the wrap-around metric on a torus region.
 
 The graph is its edge list and degrees, nothing more. The candidates within
 radius become one key ``min(a, b) * n + max(a, b)`` per edge. One sort of
@@ -33,8 +34,8 @@ import numpy as np
 
 from .geometry import TORUS, PointSet
 
-# Half of the 3x3 neighborhood: together with the within-cell ranges, every
-# unordered pair of neighboring cells is visited exactly once.
+# Half of the 3x3 neighborhood, none a step down: together with the within-cell
+# ranges, every unordered pair of neighboring cells is visited exactly once.
 _HALF_OFFSETS = ((1, 0), (0, 1), (1, 1), (-1, 1))
 
 
@@ -72,71 +73,65 @@ def _range_pairs(lo, hi):
     return left, right
 
 
-def _candidate_pairs(own, start, end, row):
+def _candidate_pairs(cell, ix, iy, ncx, ncy, torus):
     """Cell-sorted positions of candidate pairs: each point with the later
-    points of its own cell ``own``, then with the whole cell at each
-    half-offset, in the cell table ``start``, ``end`` of ``row`` cells a row."""
-    yield _range_pairs(np.arange(1, len(own) + 1), end[own])
+    points of its own cell, then with the whole cell at each half-offset."""
+    yield _range_pairs(np.arange(1, len(cell) + 1), np.searchsorted(cell, cell, "right"))
     for dx, dy in _HALF_OFFSETS:
-        nbr = own + (dy * row + dx)
-        yield _range_pairs(start[nbr], end[nbr])
+        nx = ix + dx
+        ny = iy + dy
+        if torus:
+            # a step past one edge enters at the other; on a 1-cell axis that
+            # is the cell itself, whose pairs the own-cell ranges already have
+            nx[nx == ncx] = 0
+            nx[nx < 0] = ncx - 1
+            ny[ny == ncy] = 0
+            valid = (nx != ix) | (ny != iy)
+        else:
+            valid = (nx >= 0) & (nx < ncx) & (ny < ncy)
+        # no cell has id -1, so an invalid neighbor gives an empty range
+        nid = np.where(valid, ny * ncx + nx, -1)
+        yield _range_pairs(np.searchsorted(cell, nid, "left"), np.searchsorted(cell, nid, "right"))
 
 
 def build_graph(points: PointSet, radius: float = 1.0) -> SpatialGraph:
     """Connect every pair of points at distance <= radius."""
     if not (radius > 0 and np.isfinite(radius)):
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    radius = float(radius)
     region = points.region
     n = len(points)
     torus = region.boundary == TORUS
-    key = np.empty(0, dtype=np.int64)
+    # at most 2**31 cells per axis keep cell ids within int64; fewer cells
+    # are only larger, which the 3x3 scan still covers
+    ncx = max(1, int(min(region.width / radius, 2**31)))
+    ncy = max(1, int(min(region.height / radius, 2**31)))
+    coords = points.coordinates
+    ix = np.minimum((coords[:, 0] * (ncx / region.width)).astype(np.int64), ncx - 1)
+    iy = np.minimum((coords[:, 1] * (ncy / region.height)).astype(np.int64), ncy - 1)
+    cell = iy * ncx + ix
 
-    if n >= 2:
-        # at most n cells, each at least radius wide; fewer cells are only
-        # larger, which the 3x3 scan still covers. Each axis is clamped to
-        # [1, n] before scaling, so an overflowing width / radius stays finite.
-        fx = min(max(region.width / radius, 1.0), n)
-        fy = min(max(region.height / radius, 1.0), n)
-        scale = min(1.0, (n / (fx * fy)) ** 0.5)
-        ncx = max(1, int(fx * scale))
-        ncy = max(1, int(fy * scale))
-        coords = points.coordinates
-        ix = np.minimum((coords[:, 0] * (ncx / region.width)).astype(np.int64), ncx - 1)
-        iy = np.minimum((coords[:, 1] * (ncy / region.height)).astype(np.int64), ncy - 1)
-        cell = iy * ncx + ix
+    order = np.argsort(cell, kind="stable")
+    x, y = coords[order].T.copy()
 
-        order = np.argsort(cell, kind="stable")
-        x, y = coords[order].T.copy()
-        count = np.bincount(cell, minlength=ncx * ncy)
-        end = np.cumsum(count)
-        # each cell's [start, end) in cell order, padded with a row above and a
-        # column each side: the cells they wrap onto on a torus axis of 2 or
-        # more cells, else empty (a 1-cell axis wraps a cell onto itself)
-        table = np.stack((end - count, end)).reshape(2, ncy, ncx)
-        table = np.pad(table, ((0, 0), (0, 1), (0, 0)), "wrap" if torus and ncy > 1 else "constant")
-        table = np.pad(table, ((0, 0), (0, 0), (1, 1)), "wrap" if torus and ncx > 1 else "constant")
-        own = (iy * (ncx + 2) + ix + 1)[order]
-
-        r2 = radius * radius
-        keys = []
-        for left, right in _candidate_pairs(own, *table.reshape(2, -1), ncx + 2):
-            dx = np.abs(x[left] - x[right])
-            dy = np.abs(y[left] - y[right])
-            if torus:
-                dx = np.minimum(dx, region.width - dx)
-                dy = np.minimum(dy, region.height - dy)
-            close = dx * dx + dy * dy <= r2
-            a = order[left[close]]
-            b = order[right[close]]
-            keys.append(np.minimum(a, b) * n + np.maximum(a, b))
-        key = np.concatenate(keys)
-        # wrap-around offsets revisit a cell pair only on a torus axis with < 3 cells
-        key = np.unique(key) if torus and min(ncx, ncy) < 3 else np.sort(key)
+    r2 = radius * radius
+    keys = []
+    for left, right in _candidate_pairs(cell[order], ix[order], iy[order], ncx, ncy, torus):
+        dx = np.abs(x[left] - x[right])
+        dy = np.abs(y[left] - y[right])
+        if torus:
+            dx = np.minimum(dx, region.width - dx)
+            dy = np.minimum(dy, region.height - dy)
+        close = dx * dx + dy * dy <= r2
+        a = order[left[close]]
+        b = order[right[close]]
+        keys.append(np.minimum(a, b) * n + np.maximum(a, b))
+    key = np.concatenate(keys)
+    # wrap-around offsets revisit a cell pair only on a torus axis with < 3 cells
+    key = np.unique(key) if torus and min(ncx, ncy) < 3 else np.sort(key)
 
     src, dst = np.divmod(key, n)
     degrees = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
-    return SpatialGraph(points, radius, np.column_stack((src, dst)), degrees)
+    return SpatialGraph(points, float(radius), np.column_stack((src, dst)), degrees)
 
 
 def _neighbor_counts(graph: SpatialGraph, mask: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ the decision threshold so sweeps can plot margins, never just the boolean.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +91,10 @@ def _poisson_pmf(mean: float, tol: float, max_terms: int) -> np.ndarray:
     """pmf[0..K] of Poisson(mean) with remaining tail mass < tol."""
     if mean < 0:
         raise ValueError(f"Poisson mean must be non-negative, got {mean}")
-    if mean > 700:
-        # exp(-mean) is subnormal or 0 beyond ~708, so the series loses its mass
-        raise ValueError(f"Poisson mean {mean:g} from lambda is too large for float evaluation")
     terms = [math.exp(-mean)]
+    if terms[0] < sys.float_info.min:
+        # a subnormal exp(-mean) has lost mantissa bits, and the series its mass
+        raise ValueError(f"Poisson mean {mean:g} from lambda is too large for float evaluation")
     cum = terms[0]
     k = 0
     while 1.0 - cum >= tol:

@@ -225,9 +225,10 @@ def test_block_cap_overflow_names_lambda_and_d(capsys):
     assert "is not finite" in err
 
 
-@pytest.mark.parametrize("lam", ["1000", "120.6"])
+@pytest.mark.parametrize("lam", ["1000", "120.6", "118.7"])
 def test_cascade_condition_large_lambda_rejected_up_front(capsys, lam):
-    # lambda * COLLAR_AREA is 5970 and 720: exp(-mean) is subnormal or 0
+    # lambda * COLLAR_AREA is 5970, 720 and 708.64: exp(-mean) is 0 or
+    # subnormal (below 2.2e-308 past a mean of 708.40)
     code, out, err = run_cli(
         capsys, "theory", "cascade-condition", "--lambda", lam, "--dist", "pieces:0,1,1"
     )
@@ -235,6 +236,15 @@ def test_cascade_condition_large_lambda_rejected_up_front(capsys, lam):
     assert out == ""
     assert err.startswith("error: Poisson mean"), err
     assert "from lambda is too large for float evaluation" in err
+
+
+def test_cascade_condition_largest_normal_poisson_mean_evaluates(capsys):
+    # lambda * COLLAR_AREA is 708.04: exp(-mean) is still a normal float
+    code, out, _ = run_cli(
+        capsys, "theory", "cascade-condition", "--lambda", "118.6", "--dist", "pieces:0,1,1"
+    )
+    assert code == 0
+    assert json.loads(out)["lhs"] == pytest.approx(1.0)
 
 
 def test_generate_then_fail_attack(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geoperc.geometry import OPEN_BOX, TORUS, PointSet, Region, generate_poisson, generate_uniform
-from geoperc.graph import build_graph, components, crosses, crossing_level
+from geoperc.graph import _range_pairs, build_graph, components, crosses, crossing_level
 
 from conftest import bfs_component_labels, bfs_crosses, brute_force_edges, neighbor_lists
 
@@ -88,16 +88,20 @@ def test_extreme_width_radius_ratio_matches_brute_force(seed, side, boundary):
     _assert_canonical_layout(build_graph(pts, 0.1), pts, 0.1)
 
 
-def _capped_grid_points(case, seed, boundary):
+def _sparse_region_points(case, seed, boundary):
     rng = np.random.default_rng(seed)
     if case == "spread":
-        # 600 points over 1e4 x 1e4 at radius 1: the n-cell cap binds with
-        # every cell in use, and each point has a partner within radius,
-        # across the region's edges for the 30 at a corner
+        # 600 points over 1e4 x 1e4 at radius 1: each point has a partner
+        # within radius, across the region's edges for the 30 at a corner
         side, radius = 1e4, 1.0
         base = rng.uniform(0.0, side, size=(300, 2))
         base[:30] %= 1.0
         coords = np.vstack((base, (base + rng.uniform(-0.5, 0.5, size=(300, 2))) % side))
+    elif case == "cluster":
+        # 600 points in the 11 x 11 corner of 1e4 x 1e4 at radius 1: ~5 points
+        # a cell; one cell for the whole cluster would pair all of them
+        side, radius = 1e4, 1.0
+        coords = rng.uniform(0.0, 11.0, size=(600, 2))
     elif case == "overflow":
         # side / radius overflows a float; only coincident points and points
         # near the origin, where floats are dense, are within radius
@@ -106,8 +110,8 @@ def _capped_grid_points(case, seed, boundary):
         coords = sites[rng.integers(0, len(sites), size=30)]
         coords[:6, 0] += rng.choice([0.0, 5e-301, 1e-300, 3e-300], size=6)
     else:
-        # 8 points at radius 1 on 1e3 x 1e3 leave 2 cells per axis; the pairs
-        # straddle the region's edges and corners
+        # 8 points at radius 1 on 1e3 x 1e3; the pairs straddle the region's
+        # edges and corners
         side, radius = 1e3, 1.0
         base = rng.uniform(-1.0, 1.0, size=(4, 2)) % side
         coords = np.vstack((base, (base + rng.uniform(-0.6, 0.6, size=(4, 2))) % side))
@@ -115,12 +119,22 @@ def _capped_grid_points(case, seed, boundary):
 
 
 @pytest.mark.parametrize("boundary", [OPEN_BOX, TORUS])
-@pytest.mark.parametrize("case", ["spread", "overflow", "few-torus-cells"])
-def test_capped_cell_grid_matches_brute_force(case, boundary):
-    # at most n cells, each at least radius wide, whatever width / radius is
+@pytest.mark.parametrize("case", ["spread", "cluster", "overflow", "edge-pairs"])
+def test_sparse_regions_match_brute_force(monkeypatch, case, boundary):
+    # a region many radii wide, whatever width / radius is: the candidate
+    # pairs stay a few per point wherever the points sit
+    candidates = []
+
+    def counting_range_pairs(lo, hi):
+        candidates.append(int((hi - lo).sum()))
+        return _range_pairs(lo, hi)
+
+    monkeypatch.setattr("geoperc.graph._range_pairs", counting_range_pairs)
     for seed in range(3):
-        pts, radius = _capped_grid_points(case, seed, boundary)
+        pts, radius = _sparse_region_points(case, seed, boundary)
+        candidates.clear()
         _assert_canonical_layout(build_graph(pts, radius), pts, radius)
+        assert sum(candidates) < 30 * len(pts)
 
 
 def test_graph_determinism(medium_graph):
