@@ -26,6 +26,9 @@ class Region:
             raise ValueError(
                 f"region dimensions must be positive and finite, got {self.width} x {self.height}"
             )
+        # floats, so that width / radius overflows to inf without a numpy warning
+        object.__setattr__(self, "width", float(self.width))
+        object.__setattr__(self, "height", float(self.height))
         if self.boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}, got {self.boundary!r}")
 

@@ -2,25 +2,29 @@
 
 Adjacency is built on a grid of cells at least the connection radius wide, so
 candidate pairs only come from 3x3 cell neighborhoods and follow the density
-of the points wherever they sit. In cell order each cell's points are
-contiguous, so each point pairs with contiguous ranges found by binary search
-over the sorted cell ids: the later points of its own cell, then the whole
-cell at each half-offset of its 3x3 neighborhood (empty past an open box, the
-wrapped cell on a torus). Two nodes are adjacent iff their distance is <=
-radius (ties included), using the wrap-around metric on a torus region.
+of the points wherever they sit. In cell order each occupied cell is one run
+of contiguous points, so each point pairs with contiguous ranges: the later
+points of its own run, then the whole run at each half-offset of its 3x3
+neighborhood (empty past an open box, the wrapped cell on a torus). The runs
+are found once, and each neighbor run once per occupied cell by binary search
+over the runs' cell ids; its points share the result. Two nodes are adjacent
+iff their distance is <= radius (ties included), using the wrap-around metric
+on a torus region.
 
 The graph is its edge list and degrees, nothing more. The candidates within
 radius become one key ``min(a, b) * n + max(a, b)`` per edge. One sort of
-those keys gives ``edges``, rows u < v in lexicographic order; ``degrees``
-counts both ends. Only a torus with fewer than 3 cells on an axis can revisit
-a cell pair, so only there are the keys deduplicated. Every per-node count
-over neighbors (failed neighbors in a cascade, reliable neighbors in a
-classification) is one ``_neighbor_counts`` over the edges.
+those keys gives ``edges``, rows u < v in lexicographic order stored column by
+column, so the u and v columns are contiguous arrays; ``degrees`` counts both
+ends. Only a torus with fewer than 3 cells on an axis can revisit a cell pair,
+so only there are the keys deduplicated. Every per-node count over neighbors
+(failed neighbors in a cascade, reliable neighbors in a classification) is one
+``_neighbor_counts`` over the edges.
 
-Connectivity has one primitive, ``_component_roots``: given an edge list, every
-node gets the smallest node index of its component, by min-label hooking and
-pointer jumping (Shiloach & Vishkin, J. Algorithms 3, 1982). Component labels
-rank the roots over the alive edges; a crossing is a root shared by both edge
+Connectivity has one primitive, ``_component_roots``: given an edge list,
+every node gets the smallest node index of its component, by min-label hooking
+and pointer jumping (Shiloach & Vishkin, J. Algorithms 3, 1982). Component
+labels number the alive roots in node order, with no sort, as each root is the
+smallest node of its component; a crossing is a root shared by both edge
 strips. ``crossing_level`` finds the level at which weighted survivors stop
 crossing by a binary search that drops or contracts the nodes each step
 decides, so it labels a graph about once in all, not once per step.
@@ -42,7 +46,8 @@ _HALF_OFFSETS = ((1, 0), (0, 1), (1, 1), (-1, 1))
 @dataclass(frozen=True)
 class SpatialGraph:
     """Immutable geometric graph: points, radius, the int64 edge list (E, 2)
-    with rows u < v in lexicographic order, and the int64 degree per node."""
+    with rows u < v in lexicographic order and contiguous columns, and the
+    int64 degree per node."""
 
     points: PointSet
     radius: float
@@ -76,22 +81,30 @@ def _range_pairs(lo, hi):
 def _candidate_pairs(cell, ix, iy, ncx, ncy, torus):
     """Cell-sorted positions of candidate pairs: each point with the later
     points of its own cell, then with the whole cell at each half-offset."""
-    yield _range_pairs(np.arange(1, len(cell) + 1), np.searchsorted(cell, cell, "right"))
+    # one run of equal ids per occupied cell; run[i] is point i's run
+    first = np.diff(cell, prepend=-1) != 0
+    start = np.flatnonzero(first)
+    end = np.append(start[1:], len(cell))
+    run = np.cumsum(first) - 1
+    yield _range_pairs(np.arange(1, len(cell) + 1), end[run])
+    rcell, rx, ry = cell[start], ix[start], iy[start]
     for dx, dy in _HALF_OFFSETS:
-        nx = ix + dx
-        ny = iy + dy
+        nx = rx + dx
+        ny = ry + dy
         if torus:
             # a step past one edge enters at the other; on a 1-cell axis that
             # is the cell itself, whose pairs the own-cell ranges already have
             nx[nx == ncx] = 0
             nx[nx < 0] = ncx - 1
             ny[ny == ncy] = 0
-            valid = (nx != ix) | (ny != iy)
+            valid = (nx != rx) | (ny != ry)
         else:
             valid = (nx >= 0) & (nx < ncx) & (ny < ncy)
-        # no cell has id -1, so an invalid neighbor gives an empty range
-        nid = np.where(valid, ny * ncx + nx, -1)
-        yield _range_pairs(np.searchsorted(cell, nid, "left"), np.searchsorted(cell, nid, "right"))
+        nid = ny * ncx + nx
+        pos = np.minimum(np.searchsorted(rcell, nid), len(rcell) - 1)
+        # an invalid or unoccupied neighbor gives an empty range
+        hit = valid & (rcell[pos] == nid)
+        yield _range_pairs(np.where(hit, start[pos], 0)[run], np.where(hit, end[pos], 0)[run])
 
 
 def build_graph(points: PointSet, radius: float = 1.0) -> SpatialGraph:
@@ -131,7 +144,7 @@ def build_graph(points: PointSet, radius: float = 1.0) -> SpatialGraph:
 
     src, dst = np.divmod(key, n)
     degrees = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
-    return SpatialGraph(points, float(radius), np.column_stack((src, dst)), degrees)
+    return SpatialGraph(points, float(radius), np.stack((src, dst)).T, degrees)
 
 
 def _neighbor_counts(graph: SpatialGraph, mask: np.ndarray) -> np.ndarray:
@@ -177,9 +190,9 @@ def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _alive_edges(graph: SpatialGraph, alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    e = graph.edges
-    both = alive[e[:, 0]] & alive[e[:, 1]]
-    return e[both, 0], e[both, 1]
+    u, v = graph.edges.T
+    both = alive[u] & alive[v]
+    return u[both], v[both]
 
 
 def components(graph: SpatialGraph, alive) -> ComponentLabeling:
@@ -190,9 +203,11 @@ def components(graph: SpatialGraph, alive) -> ComponentLabeling:
         raise ValueError(f"alive mask length {alive.shape} does not match node count {n}")
 
     roots = _component_roots(n, *_alive_edges(graph, alive))
-    _, inverse, sizes = np.unique(roots[alive], return_inverse=True, return_counts=True)
+    # an alive component's root is its smallest node: rank them in node order
+    rank = np.cumsum(alive & (roots == np.arange(n))) - 1
     labels = np.full(n, -1, dtype=np.int64)
-    labels[alive] = inverse
+    labels[alive] = rank[roots[alive]]
+    sizes = np.bincount(labels[alive])
     if sizes.size:
         largest_id = int(np.argmax(sizes))
         largest_size = int(sizes[largest_id])

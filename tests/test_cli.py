@@ -185,6 +185,16 @@ def test_critical_phi_output(capsys):
     assert json.loads(out)["phi"] == 0
 
 
+def test_critical_phi_past_exp_overflow_rejected_by_name(capsys):
+    code, out, err = run_cli(capsys, "theory", "critical-phi", "--lambda", "1420")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: lambda=1420.0 is too large"), err
+    code, out, _ = run_cli(capsys, "theory", "critical-phi", "--lambda", "1419")
+    assert code == 0
+    assert json.loads(out)["phi"] == 660
+
+
 def test_failure_condition_output(capsys):
     code, out, _ = run_cli(
         capsys, "theory", "failure-condition", "--lambda", "2.56", "--rule", "attack:4"

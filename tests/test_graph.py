@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,8 @@ def _assert_canonical_layout(g, pts, radius):
     """Edges equal the oracle's, sorted with u < v; degrees follow from them."""
     for name in ("edges", "degrees"):
         assert getattr(g, name).dtype == np.int64
+    # u and v gather from contiguous columns
+    assert g.edges[:, 0].flags.c_contiguous and g.edges[:, 1].flags.c_contiguous
     assert [tuple(e) for e in g.edges.tolist()] == sorted(brute_force_edges(pts, radius))
     assert g.degrees.tolist() == [len(a) for a in neighbor_lists(g)]
 
@@ -88,6 +92,16 @@ def test_extreme_width_radius_ratio_matches_brute_force(seed, side, boundary):
     _assert_canonical_layout(build_graph(pts, 0.1), pts, 0.1)
 
 
+def test_numpy_scalar_sides_overflow_without_warning():
+    # side / radius overflows to inf; on numpy scalars that would also warn
+    side = np.float64(1e15)
+    pts = PointSet(np.zeros((2, 2)), Region(side, side), 2 / 1e30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_graph(pts, 1e-300)
+    assert g.edges.tolist() == [[0, 1]]
+
+
 def _sparse_region_points(case, seed, boundary):
     rng = np.random.default_rng(seed)
     if case == "spread":
@@ -145,10 +159,14 @@ def test_graph_determinism(medium_graph):
 
 
 def test_components_all_dead(medium_graph):
-    lab = components(medium_graph, np.zeros(len(medium_graph), dtype=bool))
-    assert lab.largest_size == 0
-    assert lab.largest_id == -1
-    assert (lab.labels == -1).all()
+    empty = _graph_from_coords(np.empty((0, 2)))
+    for g in (empty, medium_graph):
+        lab = components(g, np.zeros(len(g), dtype=bool))
+        assert lab.sizes.shape == (0,)
+        assert lab.sizes.dtype == np.int64
+        assert lab.largest_size == 0
+        assert lab.largest_id == -1
+        assert (lab.labels == -1).all()
 
 
 def test_components_triangle():

@@ -286,6 +286,13 @@ class TestCriticalPhi:
         values = [critical_phi(float(lam)) for lam in range(1, 61)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
+    def test_cutoff_where_exp_overflows(self):
+        # exp(lambda / 2) overflows past lambda = 2 ln(float max) = 1419.57
+        assert critical_phi(1410.0) == 656
+        assert critical_phi(1419.0) == 660
+        with pytest.raises(ValueError, match="lambda=1420"):
+            critical_phi(1420.0)
+
     def test_tiny_density_unbounded(self):
         assert critical_phi(0.05) == math.inf
 
