@@ -14,10 +14,7 @@ from .cascade import (
     classify,
     isolated_reliable_count_check,
     parse_distribution,
-    reliable_probability,
     run_cascade,
-    sample_thresholds,
-    vulnerable_component_analysis,
     vulnerable_probability,
 )
 from .failures import (
@@ -38,7 +35,6 @@ from .theory import (
     ConditionResult,
     CriticalConstants,
     DEFAULT_CONSTANTS,
-    SeriesControl,
     SubcriticalDensityError,
     block_count_cap,
     circuit_count_bound,

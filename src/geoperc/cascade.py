@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ComponentLabeling, SpatialGraph, _neighbor_counts, components
+from .graph import SpatialGraph, _neighbor_counts
 from .seeding import generator_from_seed
 
 _MASS_TOLERANCE = 1e-12
@@ -114,29 +114,11 @@ def distribution_to_text(dist: ThresholdDistribution) -> str:
     return "pieces:" + ";".join(f"{a!r},{b!r},{d!r}" for a, b, d in dist.pieces)
 
 
-def sample_thresholds(graph: SpatialGraph, dist: ThresholdDistribution, seed: int) -> np.ndarray:
-    """One threshold per node, drawn from the node-indexed uniform stream."""
-    return dist.sample(len(graph), seed)
-
-
 def vulnerable_probability(dist: ThresholdDistribution, k: int) -> float:
     """Probability F(1/k) that a degree-k node is triggered by one failed neighbor."""
     if k < 1:
         raise ValueError(f"vulnerability needs degree >= 1, got {k}")
     return dist.cdf(1.0 / k)
-
-
-def reliable_probability(dist: ThresholdDistribution, k: int) -> float:
-    """Probability 1 - F((k-1)/k) of surviving while any neighbor is operational.
-
-    Degree-0 nodes are reliable by convention: they stay operational no matter
-    what happens elsewhere, unless they are the initial failure themselves.
-    """
-    if k < 0:
-        raise ValueError(f"degree must be non-negative, got {k}")
-    if k == 0:
-        return 1.0
-    return 1.0 - dist.cdf((k - 1) / k)
 
 
 @dataclass(frozen=True)
@@ -146,11 +128,10 @@ class NodeClassification:
 
     vulnerable: np.ndarray
     reliable: np.ndarray
-    unreliable: np.ndarray
     isolated_reliable: np.ndarray
 
     def __post_init__(self):
-        for name in ("vulnerable", "reliable", "unreliable", "isolated_reliable"):
+        for name in ("vulnerable", "reliable", "isolated_reliable"):
             getattr(self, name).setflags(write=False)
 
 
@@ -158,8 +139,8 @@ def classify(graph: SpatialGraph, thresholds: np.ndarray) -> NodeClassification:
     """Label nodes against their ORIGINAL degrees.
 
     vulnerable: k >= 1 and psi <= 1/k. reliable: k == 0 or psi > (k-1)/k.
-    unreliable: not reliable. isolated reliable: reliable, at least one
-    neighbor, and every neighbor unreliable.
+    isolated reliable: reliable, at least one neighbor, and every neighbor
+    unreliable (not reliable).
     """
     n = len(graph)
     psi = np.asarray(thresholds, dtype=np.float64)
@@ -169,9 +150,8 @@ def classify(graph: SpatialGraph, thresholds: np.ndarray) -> NodeClassification:
     safe_k = np.maximum(k, 1)
     vulnerable = (k >= 1) & (psi <= 1.0 / safe_k)
     reliable = (k == 0) | (psi > (k - 1) / safe_k)
-    unreliable = ~reliable
     isolated_reliable = reliable & (k >= 1) & (_neighbor_counts(graph, reliable) == 0)
-    return NodeClassification(vulnerable, reliable, unreliable, isolated_reliable)
+    return NodeClassification(vulnerable, reliable, isolated_reliable)
 
 
 @dataclass(frozen=True)
@@ -231,11 +211,6 @@ def run_cascade(graph: SpatialGraph, thresholds: np.ndarray, seed_node: int) -> 
         failed |= newly
         rounds.append(np.flatnonzero(newly))
     return CascadeState(psi, failed, tuple(rounds), seed_node)
-
-
-def vulnerable_component_analysis(graph: SpatialGraph, thresholds: np.ndarray) -> ComponentLabeling:
-    """Component structure of the vulnerable nodes."""
-    return components(graph, classify(graph, thresholds).vulnerable)
 
 
 def isolated_reliable_count_check(graph: SpatialGraph, thresholds: np.ndarray) -> int:

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .cascade import parse_distribution, run_cascade, sample_thresholds
+from .cascade import parse_distribution, run_cascade
 from .experiments import (
     ExperimentConfig,
     estimate_lambda_c,
@@ -38,7 +38,6 @@ from .io import (
 from .seeding import STREAM_SEED_NODE, generator_from_seed, substream
 from .theory import (
     CriticalConstants,
-    SeriesControl,
     block_count_cap,
     circuit_count_bound,
     critical_phi,
@@ -135,7 +134,7 @@ def _cmd_cascade(args) -> int:
     dist = parse_distribution(args.dist)
     if len(graph) == 0:
         raise ValueError("cannot run a cascade on an empty graph")
-    thresholds = sample_thresholds(graph, dist, seed)
+    thresholds = dist.sample(len(graph), seed)
     if args.seed_node is not None:
         seed_node = args.seed_node
     else:
@@ -174,7 +173,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_theory(args) -> int:
     constants = CriticalConstants(args.lambda_c)
-    control = SeriesControl(tail_tolerance=args.tolerance)
     sub = args.theory_command
     if sub == "critical-q":
         value = critical_q(args.lam, constants)
@@ -187,10 +185,10 @@ def _cmd_theory(args) -> int:
     elif sub == "failure-condition":
         rule = parse_rule(args.rule)
         if rule.is_nondecreasing():
-            res = no_infinite_component_nondecreasing(args.lam, rule, control)
+            res = no_infinite_component_nondecreasing(args.lam, rule, args.tolerance)
             name = "no-infinite-component-nondecreasing"
         elif rule.is_nonincreasing():
-            res = no_infinite_component_nonincreasing(args.lam, rule, control)
+            res = no_infinite_component_nonincreasing(args.lam, rule, args.tolerance)
             name = "no-infinite-component-nonincreasing"
         else:
             raise ValueError(f"rule {args.rule!r} is neither non-decreasing nor non-increasing")
@@ -199,7 +197,7 @@ def _cmd_theory(args) -> int:
                "holds": res.holds}
     elif sub == "cascade-condition":
         dist = parse_distribution(args.dist)
-        res = no_cascade_condition(args.lam, dist, control)
+        res = no_cascade_condition(args.lam, dist, args.tolerance)
         doc = {"condition": "no-cascade", "lambda": args.lam, "dist": args.dist,
                "lhs": res.lhs, "threshold": res.threshold, "relation": res.relation,
                "holds": res.holds}

@@ -20,7 +20,7 @@ of the per-trial values: common random numbers, no graph built.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import partial
 
@@ -52,6 +52,7 @@ KINDS = ("percolation-sweep", "failure-sweep", "cascade-trial")
 PROXIES = ("crossing", "giant-fraction")
 SEEDINGS = ("random-node", "adjacent-to-largest-vulnerable-component")
 COUNT_MODES = ("poisson", "fixed")
+_REGION_KEYS = ("width", "height", "boundary")
 
 
 def _integer_field(doc: dict, name: str, default: int | None) -> int | None:
@@ -62,6 +63,12 @@ def _integer_field(doc: dict, name: str, default: int | None) -> int | None:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _reject_unknown_keys(doc: dict, known: tuple[str, ...], where: str) -> None:
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {unknown}; expected a subset of {list(known)}")
 
 
 def _typed(value, name: str, types, what: str):
@@ -117,6 +124,9 @@ class ExperimentConfig:
             raise ValueError(f"seeding must be one of {SEEDINGS}, got {self.seeding!r}")
         if self.count_mode not in COUNT_MODES:
             raise ValueError(f"count_mode must be one of {COUNT_MODES}, got {self.count_mode!r}")
+        if self.n is not None and self.count_mode != "fixed":
+            raise ValueError(f"n is used only with count_mode 'fixed', got n={self.n} "
+                             f"with count_mode {self.count_mode!r}")
         if self.kind in ("percolation-sweep", "failure-sweep") and not self.lambdas:
             raise ValueError(f"{self.kind} needs a non-empty lambda grid")
         if self.kind == "failure-sweep" and not self.rules:
@@ -125,7 +135,8 @@ class ExperimentConfig:
             if self.distribution is None:
                 raise ValueError("cascade-trial needs a threshold distribution")
             if not self.lambdas and self.n is None:
-                raise ValueError("cascade-trial needs a lambda value or an explicit n")
+                raise ValueError("cascade-trial needs a lambda value, or count_mode 'fixed' "
+                                 "with an explicit n")
 
     @property
     def region(self) -> Region:
@@ -154,7 +165,11 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ValueError("experiment config must be a JSON object")
+        # the keys to_dict writes: the fields, with the region's nested under "region"
+        known = tuple(f.name for f in fields(cls) if f.name not in _REGION_KEYS) + ("region",)
+        _reject_unknown_keys(doc, known, "config")
         region = _typed(doc.get("region", {}), "region", dict, "an object")
+        _reject_unknown_keys(region, _REGION_KEYS, "region")
         lambdas = _typed(doc.get("lambdas", []), "lambdas", list, "a list")
         rules = _typed(doc.get("rules", []), "rules", list, "a list")
         dist = doc.get("distribution")
@@ -472,11 +487,10 @@ class CascadeTrialRecord:
 
 
 def run_cascade_trial(
-    config: ExperimentConfig, trial_seed: int, graph: SpatialGraph | None = None
+    config: ExperimentConfig, trial_seed: int, graph: SpatialGraph
 ) -> CascadeTrialRecord:
-    """One cascade instance: build the trial graph (unless given), sample
-    thresholds, pick a seed node per the seeding policy, run the cascade,
-    report spread metrics.
+    """One cascade instance on the trial graph: sample thresholds, pick a seed
+    node per the seeding policy, run the cascade, report spread metrics.
 
     With adjacent seeding the seed is drawn from the nodes outside the largest
     vulnerable component that have a neighbor inside it (falling back to a node
@@ -485,8 +499,6 @@ def run_cascade_trial(
     """
     if config.distribution is None:
         raise ValueError("cascade trials need a threshold distribution")
-    if graph is None:
-        graph = _trial_graph(config, 0, trial_seed)
     n = len(graph)
     if n == 0:
         return CascadeTrialRecord(trial_seed, False, None, 0.0, 0, 0.0, 0, 0.0, False)

@@ -22,9 +22,6 @@ from .theory import CriticalConstants, DEFAULT_CONSTANTS
 class FailureRule:
     """Base class; subclasses provide q(k) and its monotonicity."""
 
-    def probability(self, k: int) -> float:
-        return float(self.probabilities(np.array([k]))[0])
-
     def probabilities(self, degrees) -> np.ndarray:
         raise NotImplementedError
 
@@ -121,9 +118,6 @@ class ThresholdAttack(FailureRule):
     def to_text(self) -> str:
         return f"attack:{self.phi}"
 
-    def as_table(self) -> DegreeFunctionFailure:
-        return DegreeFunctionFailure(table=(0.0,) * (self.phi + 1), tail=1.0)
-
 
 def parse_rule(text: str) -> FailureRule:
     """Parse the compact CLI form: 'indep:0.3', 'attack:4', 'table:q0,q1;tail=t'."""
@@ -172,8 +166,6 @@ def degree_margin_rule(
 @dataclass(frozen=True)
 class FailureOutcome:
     alive: np.ndarray
-    rule: FailureRule
-    seed: int
 
     def __post_init__(self):
         self.alive.setflags(write=False)
@@ -185,7 +177,7 @@ def apply_failures(graph: SpatialGraph, rule: FailureRule, seed: int) -> Failure
     uniforms = generator_from_seed(seed).random(n)
     q = rule.probabilities(graph.degrees)
     alive = ~(uniforms < q)
-    return FailureOutcome(alive, rule, seed)
+    return FailureOutcome(alive)
 
 
 def thinning_check(graph: SpatialGraph, q: float, seed: int) -> float:

@@ -1,7 +1,7 @@
 """Closed-form percolation and cascade conditions.
 
 All series are Poisson-weighted sums truncated once the remaining Poisson tail
-mass drops below the control tolerance; every summand is bounded by its
+mass drops below the tolerance; every summand is bounded by its
 Poisson weight (probabilities are <= 1), so the truncation error is below the
 tolerance. Condition evaluators return the raw left-hand value together with
 the decision threshold so sweeps can plot margins, never just the boolean.
@@ -40,7 +40,7 @@ class CriticalConstants:
     lambda_c: float = 1.435
 
     def __post_init__(self):
-        if self.lambda_c <= 0:
+        if not self.lambda_c > 0:
             raise ValueError(f"critical density must be positive, got {self.lambda_c}")
 
     @property
@@ -51,19 +51,8 @@ class CriticalConstants:
 DEFAULT_CONSTANTS = CriticalConstants()
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    tail_tolerance: float = 1e-12
-    max_terms: int = 200_000
-
-    def __post_init__(self):
-        if self.tail_tolerance <= 0:
-            raise ValueError(f"tail tolerance must be positive, got {self.tail_tolerance}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be at least 1, got {self.max_terms}")
-
-
-DEFAULT_CONTROL = SeriesControl()
+# Bounds the Poisson series when the tolerance lies below float resolution.
+_MAX_TERMS = 200_000
 
 
 @dataclass(frozen=True)
@@ -82,6 +71,7 @@ def critical_q(lam: float, constants: CriticalConstants = DEFAULT_CONSTANTS) -> 
     Defined for lam >= lambda_c (zero exactly at the critical density);
     subcritical densities have no percolation to destroy.
     """
+    _require_positive(lam)
     if lam < constants.lambda_c:
         raise SubcriticalDensityError(
             f"lambda={lam} is below the critical density {constants.lambda_c}; "
@@ -90,7 +80,7 @@ def critical_q(lam: float, constants: CriticalConstants = DEFAULT_CONSTANTS) -> 
     return 1.0 - constants.lambda_c / lam
 
 
-def _poisson_pmf(mean: float, tol: float, max_terms: int) -> np.ndarray:
+def _poisson_pmf(mean: float, tol: float) -> np.ndarray:
     """pmf[0..K] of Poisson(mean) with remaining tail mass < tol."""
     if mean < 0:
         raise ValueError(f"Poisson mean must be non-negative, got {mean}")
@@ -101,21 +91,21 @@ def _poisson_pmf(mean: float, tol: float, max_terms: int) -> np.ndarray:
     cum = terms[0]
     k = 0
     while 1.0 - cum >= tol:
-        if k >= max_terms:
-            raise ValueError(f"Poisson series did not reach tail mass {tol} in {max_terms} terms")
+        if k >= _MAX_TERMS:
+            raise ValueError(f"Poisson series did not reach tail mass {tol} in {_MAX_TERMS} terms")
         k += 1
         terms.append(terms[-1] * mean / k)
         cum += terms[-1]
     return np.asarray(terms)
 
 
-def _require_positive(lam: float) -> None:
-    if lam <= 0:
-        raise ValueError(f"density must be positive, got {lam}")
+def _require_positive(value: float, what: str = "density") -> None:
+    if not value > 0:  # also refuses NaN
+        raise ValueError(f"{what} must be positive, got {value}")
 
 
 def no_infinite_component_nondecreasing(
-    lam: float, rule, control: SeriesControl = DEFAULT_CONTROL
+    lam: float, rule, tolerance: float = 1e-12
 ) -> ConditionResult:
     """Subcriticality condition for a non-decreasing failure rule.
 
@@ -123,9 +113,10 @@ def no_infinite_component_nondecreasing(
     remaining network has no infinite component when LHS > 1 - 1/27.
     """
     _require_positive(lam)
+    _require_positive(tolerance, "tail tolerance")
     if not rule.is_nondecreasing():
         raise ValueError("this condition requires a non-decreasing failure rule")
-    pmf = _poisson_pmf(lam / 2.0, control.tail_tolerance, control.max_terms)
+    pmf = _poisson_pmf(lam / 2.0, tolerance)
     ks = np.arange(1, len(pmf))
     q = rule.probabilities(ks - 1)
     lhs = float(pmf[0] + np.sum(pmf[1:] * q**ks))
@@ -133,14 +124,14 @@ def no_infinite_component_nondecreasing(
     return ConditionResult(lhs, threshold, lhs > threshold, ">")
 
 
-def _collar_double_series(lam: float, survive_factor, control: SeriesControl) -> float:
+def _collar_double_series(lam: float, survive_factor, tolerance: float) -> float:
     """sum_{k>=1} P(K=k) sum_{m>=0} P(M=m) (1 - f(m+k-1)^k).
 
     K ~ Poisson(lam/2), M ~ Poisson(lam * COLLAR_AREA); f is q for failure
     rules or the reliable probability for threshold distributions.
     """
-    pk = _poisson_pmf(lam / 2.0, control.tail_tolerance / 2.0, control.max_terms)
-    pm = _poisson_pmf(lam * COLLAR_AREA, control.tail_tolerance / 2.0, control.max_terms)
+    pk = _poisson_pmf(lam / 2.0, tolerance / 2.0)
+    pm = _poisson_pmf(lam * COLLAR_AREA, tolerance / 2.0)
     ks = np.arange(1, len(pk))
     ms = np.arange(len(pm))
     f = survive_factor(ms[None, :] + ks[:, None] - 1)
@@ -149,7 +140,7 @@ def _collar_double_series(lam: float, survive_factor, control: SeriesControl) ->
 
 
 def no_infinite_component_nonincreasing(
-    lam: float, rule, control: SeriesControl = DEFAULT_CONTROL
+    lam: float, rule, tolerance: float = 1e-12
 ) -> ConditionResult:
     """Subcriticality condition for a non-increasing failure rule.
 
@@ -158,21 +149,25 @@ def no_infinite_component_nonincreasing(
     remaining network has no infinite component when LHS < 1/27.
     """
     _require_positive(lam)
+    _require_positive(tolerance, "tail tolerance")
     if not rule.is_nonincreasing():
         raise ValueError("this condition requires a non-increasing failure rule")
-    lhs = _collar_double_series(lam, rule.probabilities, control)
+    lhs = _collar_double_series(lam, rule.probabilities, tolerance)
     return ConditionResult(lhs, ONE_27TH, lhs < ONE_27TH, "<")
 
 
 def reliable_probabilities(dist, ks) -> np.ndarray:
-    """Probability of a degree-k node being reliable, with degree 0 reliable."""
+    """Probability 1 - F((k-1)/k) that a degree-k node survives while any
+    neighbor is operational; degree-0 nodes are reliable by convention."""
     k = np.asarray(ks, dtype=np.int64)
+    if (k < 0).any():
+        raise ValueError(f"degrees must be non-negative, got {k.min()}")
     ratio = (k - 1) / np.maximum(k, 1)
     return np.where(k == 0, 1.0, 1.0 - dist.cdf(ratio))
 
 
 def no_cascade_condition(
-    lam: float, dist, control: SeriesControl = DEFAULT_CONTROL
+    lam: float, dist, tolerance: float = 1e-12
 ) -> ConditionResult:
     """No infinite component of unreliable nodes, hence no cascade.
 
@@ -180,7 +175,8 @@ def no_cascade_condition(
     reliable probability of the threshold distribution; holds when LHS < 1/27.
     """
     _require_positive(lam)
-    lhs = _collar_double_series(lam, lambda j: reliable_probabilities(dist, j), control)
+    _require_positive(tolerance, "tail tolerance")
+    lhs = _collar_double_series(lam, lambda j: reliable_probabilities(dist, j), tolerance)
     return ConditionResult(lhs, ONE_27TH, lhs < ONE_27TH, "<")
 
 

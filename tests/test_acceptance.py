@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from geoperc.cascade import ThresholdDistribution, classify, isolated_reliable_count_check, sample_thresholds
+from geoperc.cascade import ThresholdDistribution, classify, isolated_reliable_count_check
 from geoperc.experiments import (
     ExperimentConfig,
     estimate_lambda_c,
@@ -185,7 +185,7 @@ def test_criterion_7_property_suites():
     for seed in range(20):
         pts_s = generate_uniform(100, Region(7.0, 7.0), seed=seed)
         gs = build_graph(pts_s, 1.0)
-        psi = sample_thresholds(gs, HEAVY_LOW, seed=seed + 1000)
+        psi = HEAVY_LOW.sample(len(gs), seed + 1000)
         from geoperc.cascade import run_cascade
 
         sync = run_cascade(gs, psi, seed_node=seed % 100).failed
@@ -197,7 +197,7 @@ def test_criterion_7_property_suites():
         pts_r = generate_uniform(80, Region(5.0, 5.0), seed=s)
         gr = build_graph(pts_r, 1.0)
         dist = (UNIFORM, HEAVY_LOW, NEAR_ONE)[s % 3]
-        psi = sample_thresholds(gr, dist, seed=s + 5000)
+        psi = dist.sample(len(gr), s + 5000)
         worst = max(worst, isolated_reliable_count_check(gr, psi))
     assert worst <= 6
 

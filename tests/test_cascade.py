@@ -10,14 +10,12 @@ from geoperc.cascade import (
     distribution_to_text,
     isolated_reliable_count_check,
     parse_distribution,
-    reliable_probability,
     run_cascade,
-    sample_thresholds,
-    vulnerable_component_analysis,
     vulnerable_probability,
 )
 from geoperc.geometry import PointSet, Region, generate_uniform
 from geoperc.graph import build_graph, components
+from geoperc.theory import reliable_probabilities
 
 from conftest import neighbor_lists
 
@@ -112,12 +110,14 @@ class TestClassProbabilities:
             vulnerable_probability(UNIFORM, 0)
 
     def test_reliable_probability(self):
-        assert reliable_probability(UNIFORM, 0) == 1.0
-        assert reliable_probability(UNIFORM, 4) == pytest.approx(0.25)
-        assert reliable_probability(HEAVY_LOW, 1) == 1.0
-        assert reliable_probability(NEAR_ONE, 1) == 1.0
-        with pytest.raises(ValueError):
-            reliable_probability(UNIFORM, -1)
+        assert reliable_probabilities(UNIFORM, 0) == 1.0
+        assert reliable_probabilities(UNIFORM, 4) == pytest.approx(0.25)
+        assert reliable_probabilities(HEAVY_LOW, 1) == 1.0
+        assert reliable_probabilities(NEAR_ONE, 1) == 1.0
+        with pytest.raises(ValueError, match="non-negative"):
+            reliable_probabilities(UNIFORM, -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            reliable_probabilities(UNIFORM, [3, 0, -2])
 
 
 class TestClassify:
@@ -128,7 +128,6 @@ class TestClassify:
         cls = classify(g, psi)
         assert cls.vulnerable.tolist() == [True, True, False, True]
         assert cls.reliable.tolist() == [True, False, True, True]
-        assert cls.unreliable.tolist() == [False, True, False, False]
         # node 0's only neighbor is unreliable; nodes 2 and 3 touch a reliable node
         assert cls.isolated_reliable.tolist() == [True, False, False, False]
 
@@ -139,7 +138,7 @@ class TestClassify:
         assert g.degrees[0] == 3
         cls = classify(g, np.array([0.25, 0.9, 0.9, 0.9]))
         assert cls.vulnerable[0]
-        assert cls.unreliable[0]
+        assert not cls.reliable[0]
 
     def test_degree_zero_reliable(self):
         g = _graph_from_coords([[1.0, 1.0], [5.0, 5.0]])
@@ -150,13 +149,13 @@ class TestClassify:
     def test_empirical_frequencies_match_rho_sigma(self):
         pts = generate_uniform(12_000, Region(70.0, 70.0), seed=21)
         g = build_graph(pts, 1.0)
-        psi = sample_thresholds(g, UNIFORM, seed=22)
+        psi = UNIFORM.sample(len(g), 22)
         cls = classify(g, psi)
         for k in (3, 4, 5, 6):
             at_k = g.degrees == k
             count = int(at_k.sum())
             rho = vulnerable_probability(UNIFORM, k)
-            sigma_k = reliable_probability(UNIFORM, k)
+            sigma_k = reliable_probabilities(UNIFORM, k)
             se_v = math.sqrt(rho * (1 - rho) / count)
             se_r = math.sqrt(sigma_k * (1 - sigma_k) / count)
             assert abs(cls.vulnerable[at_k].mean() - rho) < 3 * se_v
@@ -200,7 +199,7 @@ class TestRunCascade:
     def test_round_replay_reproduces_final_mask(self):
         pts = generate_uniform(300, Region(12.0, 12.0), seed=40)
         g = build_graph(pts, 1.0)
-        psi = sample_thresholds(g, HEAVY_LOW, seed=41)
+        psi = HEAVY_LOW.sample(len(g), 41)
         state = run_cascade(g, psi, seed_node=7)
         nbrs = neighbor_lists(g)
         failed = np.zeros(len(g), dtype=bool)
@@ -221,7 +220,7 @@ class TestRunCascade:
     def test_vulnerable_neighbor_fails_next_round(self):
         pts = generate_uniform(250, Region(10.0, 10.0), seed=50)
         g = build_graph(pts, 1.0)
-        psi = sample_thresholds(g, HEAVY_LOW, seed=51)
+        psi = HEAVY_LOW.sample(len(g), 51)
         state = run_cascade(g, psi, seed_node=0)
         vulnerable = classify(g, psi).vulnerable
         nbrs = neighbor_lists(g)
@@ -239,7 +238,7 @@ class TestRunCascade:
     def test_adjacent_reliable_pair_survives(self):
         pts = generate_uniform(300, Region(11.0, 11.0), seed=60)
         g = build_graph(pts, 1.0)
-        psi = sample_thresholds(g, UNIFORM, seed=61)
+        psi = UNIFORM.sample(len(g), 61)
         state = run_cascade(g, psi, seed_node=3)
         reliable = classify(g, psi).reliable
         for u, v in g.edges.tolist():
@@ -251,7 +250,7 @@ class TestRunCascade:
     def test_lowering_one_threshold_grows_failure(self, seed, node, drop):
         pts = generate_uniform(80, Region(6.0, 6.0), seed=seed)
         g = build_graph(pts, 1.0)
-        psi = sample_thresholds(g, UNIFORM, seed=seed + 1)
+        psi = UNIFORM.sample(len(g), seed + 1)
         lowered = psi.copy()
         lowered[node] = psi[node] * drop
         base = run_cascade(g, psi, seed_node=0).failed
@@ -268,7 +267,7 @@ class TestRunCascade:
         pts = generate_uniform(100, Region(7.0, 7.0), seed=seed)
         g = build_graph(pts, 1.0)
         nbrs = neighbor_lists(g)
-        psi = sample_thresholds(g, dist, seed=seed + 3)
+        psi = dist.sample(len(g), seed + 3)
         state = run_cascade(g, psi, seed_node)
         failed = np.zeros(len(g), dtype=bool)
         failed[seed_node] = True
@@ -289,7 +288,7 @@ class TestRunCascade:
     def test_schedule_confluence(self, seed, seed_node):
         pts = generate_uniform(100, Region(7.0, 7.0), seed=seed)
         g = build_graph(pts, 1.0)
-        psi = sample_thresholds(g, HEAVY_LOW, seed=seed + 7)
+        psi = HEAVY_LOW.sample(len(g), seed + 7)
         sync = run_cascade(g, psi, seed_node).failed
         assert np.array_equal(sync, async_cascade_oracle(g, psi, seed_node))
 
@@ -297,14 +296,14 @@ class TestRunCascade:
 class TestVulnerableComponents:
     def test_no_vulnerable_nodes(self):
         g = _graph_from_coords([[1.0, 1.0], [1.5, 1.0], [1.25, 1.4]])
-        lab = vulnerable_component_analysis(g, np.full(3, 0.9))
+        lab = components(g, classify(g, np.full(3, 0.9)).vulnerable)
         assert lab.largest_size == 0
 
     def test_all_vulnerable_equals_plain_labeling(self):
         pts = generate_uniform(200, Region(9.0, 9.0), seed=70)
         g = build_graph(pts, 1.0)
         psi = np.full(200, 1e-9)
-        lab = vulnerable_component_analysis(g, psi)
+        lab = components(g, classify(g, psi).vulnerable)
         plain = components(g, g.degrees >= 1)
         assert np.array_equal(lab.sizes, plain.sizes)
 
@@ -343,5 +342,5 @@ class TestIsolatedReliable:
             pts = generate_uniform(80, Region(5.0, 5.0), seed=s)
             g = build_graph(pts, 1.0)
             dist = (UNIFORM, HEAVY_LOW, NEAR_ONE)[s % 3]
-            psi = sample_thresholds(g, dist, seed=s + 999)
+            psi = dist.sample(len(g), s + 999)
             assert isolated_reliable_count_check(g, psi) <= 6

@@ -162,6 +162,26 @@ def test_sweep_config_bad_integer_field_rejected_by_name(tmp_path, capsys, field
 
 
 @pytest.mark.parametrize(
+    "extra, message",
+    [({"n": 400}, "n is used only with count_mode 'fixed', got n=400"),
+     ({"trails": 3}, "unknown config key(s) ['trails']"),
+     ({"region": {"width": 15, "height": 15, "boundry": "torus"}},
+      "unknown region key(s) ['boundry']")],
+    ids=["n-with-poisson-count", "unknown-key", "unknown-region-key"],
+)
+def test_sweep_config_ignored_field_rejected_by_name(tmp_path, capsys, extra, message):
+    config = {"kind": "percolation-sweep", "region": {"width": 15, "height": 15},
+              "lambdas": [1.0], "trials": 2, **extra}
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(config, fh)
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg_path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}"), err
+
+
+@pytest.mark.parametrize(
     "dist, piece",
     [("pieces:0,0.5,nan;0.5,1,2", 0), ("pieces:0,1,nan", 0), ("pieces:0,0.5,1;0.5,inf,1", 1)],
 )

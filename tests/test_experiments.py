@@ -22,7 +22,6 @@ from geoperc.experiments import (
     _proxy_indicator,
     estimate_lambda_c,
     estimate_qc,
-    run_cascade_trial,
     run_cascade_trials,
     run_sweep,
     trial_seeds,
@@ -79,6 +78,27 @@ def test_config_round_trip():
         ExperimentConfig.from_dict({"kind": "failure-sweep", "region": {"width": 10, "height": 10}})
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict([1, 2, 3])
+
+
+def test_config_rejects_n_outside_fixed_count_mode():
+    # n sets the point count only in fixed mode; a Poisson config would drop it
+    with pytest.raises(ValueError, match="n is used only with count_mode 'fixed', got n=1600"):
+        ExperimentConfig(kind="cascade-trial", width=15.0, height=15.0, n=1600,
+                         distribution=HEAVY_LOW)
+    with pytest.raises(ValueError, match="n is used only with count_mode 'fixed'"):
+        ExperimentConfig(kind="percolation-sweep", width=15.0, height=15.0, lambdas=(2.0,), n=400)
+    with pytest.raises(ValueError, match="needs a lambda value, or count_mode 'fixed' with an "):
+        ExperimentConfig(kind="cascade-trial", width=15.0, height=15.0, count_mode="fixed",
+                         distribution=HEAVY_LOW)
+
+
+def test_config_from_dict_rejects_unknown_keys():
+    doc = ExperimentConfig(kind="percolation-sweep", width=15.0, height=15.0,
+                           lambdas=(2.0,)).to_dict()
+    with pytest.raises(ValueError, match=r"unknown config key\(s\) \['trails'\]"):
+        ExperimentConfig.from_dict({**doc, "trails": 3})
+    with pytest.raises(ValueError, match=r"unknown region key\(s\) \['widht'\]"):
+        ExperimentConfig.from_dict({**doc, "region": {**doc["region"], "widht": 3}})
 
 
 def test_single_trial_estimate_is_binary():
@@ -402,7 +422,7 @@ def test_cascade_trial_all_isolated_nodes():
         trials=1,
         base_seed=2,
     )
-    rec = run_cascade_trial(cfg, trial_seed=99)
+    [rec] = run_cascade_trials(cfg)
     assert rec.feasible
     assert rec.failed_count == 1
     assert rec.failed_fraction == pytest.approx(1 / 30)

@@ -40,7 +40,7 @@ def test_parse_rule_forms():
 
 def test_attack_equals_degree_table():
     attack = ThresholdAttack(3)
-    table = attack.as_table()
+    table = DegreeFunctionFailure((0.0,) * 4, 1.0)
     ks = np.arange(0, 12)
     assert np.array_equal(attack.probabilities(ks), table.probabilities(ks))
 
@@ -156,10 +156,11 @@ def test_thinning_density_and_survivor_degree():
 
 def test_degree_margin_rule_shape():
     rule = degree_margin_rule(8.0, 12)
-    assert rule.probability(0) == 0.0
+    q0, q3 = rule.probabilities([0, 3])
+    assert q0 == 0.0
     assert rule.is_nondecreasing()
     margin = 1.0 - 1.435 * np.pi / 8.0
-    assert rule.probability(3) == pytest.approx(max(0.0, margin - 1 / 3))
+    assert q3 == pytest.approx(max(0.0, margin - 1 / 3))
     assert rule.tail == pytest.approx(margin)
     with pytest.raises(ValueError):
         degree_margin_rule(0.0, 5)

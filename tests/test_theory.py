@@ -8,7 +8,6 @@ from geoperc.failures import DegreeFunctionFailure, IndependentFailure, Threshol
 from geoperc.theory import (
     COLLAR_AREA,
     CriticalConstants,
-    SeriesControl,
     SubcriticalDensityError,
     block_count_cap,
     circuit_count_bound,
@@ -48,6 +47,10 @@ def mc_oracle_collar(lam, factor, seed):
 
 
 class TestCriticalQ:
+    def test_nan_critical_density_rejected(self):
+        with pytest.raises(ValueError, match="critical density must be positive, got nan"):
+            CriticalConstants(math.nan)
+
     def test_double_critical_density(self):
         c = CriticalConstants()
         assert critical_q(2 * c.lambda_c) == pytest.approx(0.5)
@@ -61,6 +64,10 @@ class TestCriticalQ:
     def test_subcritical_rejected(self):
         with pytest.raises(SubcriticalDensityError):
             critical_q(1.0)
+
+    def test_nan_density_rejected(self):
+        with pytest.raises(ValueError, match="density must be positive, got nan"):
+            critical_q(math.nan)
 
     def test_strictly_increasing(self):
         lams = np.linspace(1.5, 12.0, 40)
@@ -187,6 +194,10 @@ class TestNoCascadeCondition:
         res = no_cascade_condition(1600 / 225, NEAR_ONE)
         assert res.holds
 
+    def test_nan_density_rejected(self):
+        with pytest.raises(ValueError, match="density must be positive, got nan"):
+            no_cascade_condition(math.nan, UNIFORM)
+
     def test_uniform_sigma_is_reciprocal(self):
         np.testing.assert_allclose(
             reliable_probabilities(UNIFORM, np.array([0, 1, 2, 4, 10])),
@@ -194,33 +205,41 @@ class TestNoCascadeCondition:
         )
 
 
-class TestSeriesControl:
+class TestSeriesTolerance:
     def test_tolerance_halving_self_consistency(self):
         rule = IndependentFailure(0.35)
         for tol in (1e-8, 1e-10, 1e-12):
-            a = no_infinite_component_nondecreasing(
-                3.0, rule, SeriesControl(tail_tolerance=tol)
-            ).lhs
-            b = no_infinite_component_nondecreasing(
-                3.0, rule, SeriesControl(tail_tolerance=tol / 2)
-            ).lhs
+            a = no_infinite_component_nondecreasing(3.0, rule, tol).lhs
+            b = no_infinite_component_nondecreasing(3.0, rule, tol / 2).lhs
             assert abs(a - b) < tol
-            c = no_infinite_component_nonincreasing(
-                3.0, rule, SeriesControl(tail_tolerance=tol)
-            ).lhs
-            d = no_infinite_component_nonincreasing(
-                3.0, rule, SeriesControl(tail_tolerance=tol / 2)
-            ).lhs
+            c = no_infinite_component_nonincreasing(3.0, rule, tol).lhs
+            d = no_infinite_component_nonincreasing(3.0, rule, tol / 2).lhs
             assert abs(c - d) < tol
-            e = no_cascade_condition(3.0, HEAVY_LOW, SeriesControl(tail_tolerance=tol)).lhs
-            f = no_cascade_condition(3.0, HEAVY_LOW, SeriesControl(tail_tolerance=tol / 2)).lhs
+            e = no_cascade_condition(3.0, HEAVY_LOW, tol).lhs
+            f = no_cascade_condition(3.0, HEAVY_LOW, tol / 2).lhs
             assert abs(e - f) < tol
 
-    def test_invalid_control(self):
-        with pytest.raises(ValueError):
-            SeriesControl(tail_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SeriesControl(max_terms=0)
+    def test_invalid_tolerance(self):
+        rule = IndependentFailure(0.35)
+        evaluators = (
+            lambda tol: no_infinite_component_nondecreasing(3.0, rule, tol),
+            lambda tol: no_infinite_component_nonincreasing(3.0, rule, tol),
+            lambda tol: no_cascade_condition(3.0, UNIFORM, tol),
+        )
+        for evaluate in evaluators:
+            # a NaN tolerance would end the series after its first term
+            for tol in (0.0, -1e-9, math.nan):
+                with pytest.raises(ValueError, match="tail tolerance must be positive"):
+                    evaluate(tol)
+
+    def test_tolerance_below_float_resolution_stops(self):
+        # the tail mass 1 - cum never drops below 1e-300, so only the term cap ends the loop
+        rule = IndependentFailure(0.35)
+        for evaluate in (no_infinite_component_nondecreasing, no_infinite_component_nonincreasing):
+            with pytest.raises(ValueError, match="did not reach tail mass"):
+                evaluate(3.0, rule, 1e-300)
+        with pytest.raises(ValueError, match="did not reach tail mass"):
+            no_cascade_condition(3.0, UNIFORM, 1e-300)
 
 
 class TestVulnerablePercolationCheck:
@@ -260,6 +279,10 @@ class TestBlockCountCap:
         with pytest.raises(ValueError):
             block_count_cap(1.0, 4.0)
 
+    def test_nan_density_rejected(self):
+        with pytest.raises(ValueError, match="density must be positive, got nan"):
+            block_count_cap(math.nan, 6.0)
+
 
 class TestCriticalPhi:
     def test_at_least_minus_one(self):
@@ -297,8 +320,9 @@ class TestCriticalPhi:
         assert critical_phi(0.05) == math.inf
 
     def test_invalid_density(self):
-        with pytest.raises(ValueError):
-            critical_phi(0.0)
+        for lam in (0.0, math.nan):
+            with pytest.raises(ValueError, match="density must be positive"):
+                critical_phi(lam)
 
 
 class TestCircuits:
