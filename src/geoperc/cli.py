@@ -172,12 +172,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    constants = CriticalConstants(args.lambda_c)
     sub = args.theory_command
     if sub == "critical-q":
-        value = critical_q(args.lam, constants)
-        doc = {"condition": "critical-q", "lambda": args.lam,
-               "lambda_c": constants.lambda_c, "q_c": value}
+        doc = {"condition": "critical-q", "lambda": args.lam, "lambda_c": args.lambda_c,
+               "q_c": critical_q(args.lam, CriticalConstants(args.lambda_c))}
     elif sub == "critical-phi":
         value = critical_phi(args.lam)
         doc = {"condition": "critical-phi", "lambda": args.lam,
@@ -287,16 +285,18 @@ def build_parser() -> argparse.ArgumentParser:
         tp = tsub.add_parser(name)
         if name != "circuit-bound":
             tp.add_argument("--lambda", dest="lam", type=float, required=True)
+        if name == "critical-q":
+            tp.add_argument("--lambda-c", dest="lambda_c", type=float, default=1.435)
         if name == "failure-condition":
             tp.add_argument("--rule", required=True)
         if name == "cascade-condition":
             tp.add_argument("--dist", required=True)
+        if name in ("failure-condition", "cascade-condition"):
+            tp.add_argument("--tolerance", type=float, default=1e-12)
         if name == "block-cap":
             tp.add_argument("--d", type=float, required=True)
         if name == "circuit-bound":
             tp.add_argument("--m", type=int, required=True)
-        tp.add_argument("--lambda-c", dest="lambda_c", type=float, default=1.435)
-        tp.add_argument("--tolerance", type=float, default=1e-12)
         tp.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_theory)
 

@@ -120,7 +120,7 @@ def cascade_rows(records) -> tuple[list[str], list[list]]:
         "failed_count", "failed_fraction", "rounds", "largest_failed_fraction",
         "seed_in_largest_failed",
     ]
-    rows = [[r.to_dict()[k] for k in header] for r in records]
+    rows = [[d[k] for k in header] for d in (r.to_dict() for r in records)]
     return header, rows
 
 

@@ -2,16 +2,22 @@ import csv
 import io
 import json
 import math
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
 
 import geoperc
-from geoperc.cli import _emit, main
-from geoperc.experiments import BisectionResult
+from geoperc.cli import _emit, build_parser, main
+from geoperc.experiments import BisectionResult, ExperimentConfig
 from geoperc.io import SchemaError, graph_from_dict, load_graph, save_graph
 from geoperc.geometry import Region, generate_uniform
 from geoperc.graph import build_graph
+
+from test_acceptance import HEAVY_LOW, NEAR_ONE
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +59,8 @@ def test_non_finite_output_is_an_error_not_nan_json(capsys):
                       "--seed", "1"]),
         ("--radius", ["generate", "--n", "5", "--width", "5", "--height", "5",
                       "--radius", "inf", "--seed", "1"]),
+        ("--tolerance", ["theory", "cascade-condition", "--lambda", "2",
+                         "--dist", "pieces:0,1,1", "--tolerance", "nan"]),
     ],
 )
 def test_non_finite_flag_rejected_by_name(capsys, flag, argv):
@@ -369,10 +377,29 @@ def test_missing_file_clean_error(capsys):
     assert "error" in err
 
 
-def test_unknown_flag_rejected(capsys):
+# Valid arguments of each theory subcommand, so that only the added flag can fail.
+_THEORY_ARGS = {
+    "critical-q": ["--lambda", "2"],
+    "critical-phi": ["--lambda", "2"],
+    "failure-condition": ["--lambda", "2", "--rule", "attack:4"],
+    "cascade-condition": ["--lambda", "2", "--dist", "pieces:0,1,1"],
+    "block-cap": ["--lambda", "2", "--d", "1"],
+    "circuit-bound": ["--m", "4"],
+}
+
+
+@pytest.mark.parametrize(
+    "sub, flag",
+    [("critical-q", "--frobnicate")]
+    + [(sub, "--tolerance -1")
+       for sub in ("critical-q", "critical-phi", "block-cap", "circuit-bound")]
+    + [(sub, "--lambda-c 99") for sub in _THEORY_ARGS if sub != "critical-q"],
+)
+def test_unknown_flag_rejected(capsys, sub, flag):
     with pytest.raises(SystemExit) as exc:
-        main(["theory", "critical-q", "--lambda", "2.0", "--frobnicate"])
+        main(["theory", sub, *_THEORY_ARGS[sub], *flag.split()])
     assert exc.value.code != 0
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_invalid_rule_text_clean_error(tmp_path, capsys):
@@ -495,3 +522,38 @@ def test_output_metadata_complete(capsys):
     doc = json.loads(out)
     for key in ("version", "command", "params", "seed"):
         assert key in doc
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("cascade-spreading", ExperimentConfig(
+            kind="cascade-trial", width=15.0, height=15.0, n=1600, count_mode="fixed",
+            distribution=HEAVY_LOW, seeding="adjacent-to-largest-vulnerable-component",
+            trials=100, base_seed=9,
+        )),
+        ("cascade-contained", ExperimentConfig(
+            kind="cascade-trial", width=15.0, height=15.0, n=1600, count_mode="fixed",
+            distribution=NEAR_ONE, seeding="random-node", trials=100, base_seed=7,
+        )),
+    ],
+)
+def test_example_config_is_the_criterion_4_config(name, expected):
+    doc = json.loads((REPO / "examples" / f"{name}.json").read_text())
+    assert ExperimentConfig.from_dict(doc) == expected
+
+
+def test_readme_experiment_commands_parse():
+    text = (REPO / "README.md").read_text()
+    section = text.split("\n## Experiments\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    # the critical-phi loop variable stands for one density
+    commands = [shlex.split(line.replace("$lam", "1"))[1:]
+                for line in block.splitlines() if line.strip().startswith("geoperc ")]
+    assert {tuple(argv[:2]) for argv in commands} == {
+        ("estimate", "lambda-c"), ("sweep", "--config"), ("theory", "critical-phi")}
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        if hasattr(args, "config"):
+            assert (REPO / args.config).is_file(), args.config
