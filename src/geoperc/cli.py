@@ -2,14 +2,14 @@
 
 Every output document embeds the tool version, the effective parameters, and
 the seed, which is enough to re-run the command exactly. When --seed is
-omitted a seed is drawn from OS entropy and echoed both to stderr and into the
-output metadata.
+omitted, ``main`` draws one seed from OS entropy and echoes it both to stderr
+and into the output metadata. Documents are written through ``geoperc.io``:
+strict JSON to --out or stdout, and for sweeps CSV of the same records.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -26,15 +26,7 @@ from .experiments import (
 from .failures import apply_failures, parse_rule
 from .geometry import OPEN_BOX, Region, generate_poisson, generate_uniform
 from .graph import build_graph
-from .io import (
-    SchemaError,
-    cascade_rows,
-    graph_to_dict,
-    load_graph,
-    save_graph,
-    sweep_rows,
-    to_csv,
-)
+from .io import dump_json, load_graph, load_json, save_graph, to_csv, write_text
 from .seeding import STREAM_SEED_NODE, generator_from_seed, substream
 from .theory import (
     CriticalConstants,
@@ -65,59 +57,37 @@ def _document(command: str, params: dict, seed: int | None, payload: dict) -> di
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, allow_nan=False)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _emit_table(doc_meta: dict, header, rows, out: str | None, fmt: str, payload_key: str,
-                records: list[dict]) -> None:
-    if fmt == "csv":
-        text = to_csv(header, rows)
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        _emit({**doc_meta, payload_key: records}, out)
+    write_text(dump_json(doc, indent=2), out)
 
 
 def _cmd_generate(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
     region = Region(args.width, args.height, args.boundary)
     if (args.n is None) == (args.lam is None):
         raise ValueError("exactly one of --n and --lambda is required")
     if args.n is not None:
-        points = generate_uniform(args.n, region, seed)
+        points = generate_uniform(args.n, region, args.seed)
     else:
-        points = generate_poisson(args.lam, region, seed)
+        points = generate_poisson(args.lam, region, args.seed)
     graph = build_graph(points, args.radius)
     params = {
         "n": args.n, "lambda": args.lam, "width": args.width, "height": args.height,
         "boundary": args.boundary, "radius": args.radius,
     }
-    meta = _document("generate", params, seed, {})
-    if args.out:
-        save_graph(graph, args.out, meta=meta)
-        print(json.dumps({**meta, "nodes": len(graph), "edges": graph.edge_count,
-                          "out": args.out}, allow_nan=False))
-    else:
-        print(json.dumps(graph_to_dict(graph, meta=meta), allow_nan=False))
+    meta = _document("generate", params, args.seed, {})
+    save_graph(graph, args.out, meta=meta)
+    if args.out is not None:
+        write_text(dump_json({**meta, "nodes": len(graph), "edges": graph.edge_count,
+                              "out": args.out}), None)
     return 0
 
 
 def _cmd_fail(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
     graph = load_graph(args.graph)
     rule = parse_rule(args.rule)
-    outcome = apply_failures(graph, rule, seed)
+    outcome = apply_failures(graph, rule, args.seed)
     params = {"graph": args.graph, "rule": args.rule}
     doc = _document(
-        "fail", params, seed,
+        "fail", params, args.seed,
         {
             "nodes": len(graph),
             "alive_count": int(outcome.alive.sum()),
@@ -129,45 +99,35 @@ def _cmd_fail(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
     graph = load_graph(args.graph)
     dist = parse_distribution(args.dist)
     if len(graph) == 0:
         raise ValueError("cannot run a cascade on an empty graph")
-    thresholds = dist.sample(len(graph), seed)
+    thresholds = dist.sample(len(graph), args.seed)
     if args.seed_node is not None:
         seed_node = args.seed_node
     else:
-        gen = generator_from_seed(substream(seed, STREAM_SEED_NODE))
+        gen = generator_from_seed(substream(args.seed, STREAM_SEED_NODE))
         seed_node = int(gen.integers(len(graph)))
     state = run_cascade(graph, thresholds, seed_node)
     params = {"graph": args.graph, "dist": args.dist, "seed_node": args.seed_node}
-    doc = _document("cascade", params, seed, state.to_dict())
+    doc = _document("cascade", params, args.seed, state.to_dict())
     _emit(doc, args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{args.config} is not valid JSON: {exc}") from exc
-    config = ExperimentConfig.from_dict(doc)
-    params = {"config": args.config}
-    meta = _document("sweep", {**params, "effective_config": config.to_dict()},
-                     config.base_seed, {})
+    config = ExperimentConfig.from_dict(load_json(args.config))
     if config.kind == "cascade-trial":
-        records = run_cascade_trials(config)
-        header, rows = cascade_rows(records)
-        _emit_table(meta, header, rows, args.out, args.format, "records",
-                    [r.to_dict() for r in records])
+        key, records = "records", [r.to_dict() for r in run_cascade_trials(config)]
     else:
-        result = run_sweep(config)
-        header, rows = sweep_rows(result.points)
-        _emit_table(meta, header, rows, args.out, args.format, "points",
-                    [{**p.params, "estimate": p.estimate, "stderr": p.stderr,
-                      "trials": p.trials} for p in result.points])
+        key, records = "points", [{**p.params, "estimate": p.estimate, "stderr": p.stderr,
+                                   "trials": p.trials} for p in run_sweep(config).points]
+    if args.format == "csv":
+        write_text(to_csv(records), args.out)
+    else:
+        params = {"config": args.config, "effective_config": config.to_dict()}
+        _emit(_document("sweep", params, config.base_seed, {key: records}), args.out)
     return 0
 
 
@@ -215,23 +175,22 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
     if args.estimate_command == "lambda-c":
         result = estimate_lambda_c(
-            side=args.side, radius=args.radius, trials=args.trials, base_seed=seed,
+            side=args.side, radius=args.radius, trials=args.trials, base_seed=args.seed,
             bracket=(args.bracket_low, args.bracket_high), target_width=args.width,
         )
         params = {"side": args.side, "radius": args.radius, "trials": args.trials,
                   "bracket": [args.bracket_low, args.bracket_high], "width": args.width}
-        doc = _document("estimate lambda-c", params, seed, result.to_dict())
+        doc = _document("estimate lambda-c", params, args.seed, result.to_dict())
     else:
         result = estimate_qc(
             args.lam, side=args.side, radius=args.radius, trials=args.trials,
-            base_seed=seed, target_width=args.width,
+            base_seed=args.seed, target_width=args.width,
         )
         params = {"lambda": args.lam, "side": args.side, "radius": args.radius,
                   "trials": args.trials, "width": args.width}
-        doc = _document("estimate qc", params, seed, result.to_dict())
+        doc = _document("estimate qc", params, args.seed, result.to_dict())
     _emit(doc, args.out)
     return 0
 
@@ -345,6 +304,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_finite(args)
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _fresh_seed()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ of the per-trial values: common random numbers, no graph built.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 
@@ -106,6 +106,7 @@ class ExperimentConfig:
     giant_threshold: float = 0.1
     count_mode: str = "poisson"
     n: int | None = None
+    region: Region = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -116,6 +117,12 @@ class ExperimentConfig:
         for name, value in numbers.items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value}")
+        for i, lam in enumerate(self.lambdas):
+            if lam < 0:
+                raise ValueError(f"lambdas[{i}] must be non-negative, got {lam}")
+        if not 0 < self.giant_threshold <= 1:
+            raise ValueError(f"giant_threshold must be in (0, 1], got {self.giant_threshold}")
+        object.__setattr__(self, "region", Region(self.width, self.height, self.boundary))
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.proxy not in PROXIES:
@@ -127,6 +134,12 @@ class ExperimentConfig:
         if self.n is not None and self.count_mode != "fixed":
             raise ValueError(f"n is used only with count_mode 'fixed', got n={self.n} "
                              f"with count_mode {self.count_mode!r}")
+        if self.rules and self.kind != "failure-sweep":
+            raise ValueError(f"rules are used only with kind 'failure-sweep', got rules="
+                             f"{[r.to_text() for r in self.rules]} with kind {self.kind!r}")
+        if self.distribution is not None and self.kind != "cascade-trial":
+            raise ValueError("distribution is used only with kind 'cascade-trial', "
+                             f"got kind {self.kind!r}")
         if self.kind in ("percolation-sweep", "failure-sweep") and not self.lambdas:
             raise ValueError(f"{self.kind} needs a non-empty lambda grid")
         if self.kind == "failure-sweep" and not self.rules:
@@ -137,10 +150,6 @@ class ExperimentConfig:
             if not self.lambdas and self.n is None:
                 raise ValueError("cascade-trial needs a lambda value, or count_mode 'fixed' "
                                  "with an explicit n")
-
-    @property
-    def region(self) -> Region:
-        return Region(self.width, self.height, self.boundary)
 
     def to_dict(self) -> dict:
         return {
@@ -165,8 +174,8 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ValueError("experiment config must be a JSON object")
-        # the keys to_dict writes: the fields, with the region's nested under "region"
-        known = tuple(f.name for f in fields(cls) if f.name not in _REGION_KEYS) + ("region",)
+        # the keys to_dict writes: the fields, with the region's sides nested under "region"
+        known = tuple(f.name for f in fields(cls) if f.name not in _REGION_KEYS)
         _reject_unknown_keys(doc, known, "config")
         region = _typed(doc.get("region", {}), "region", dict, "an object")
         _reject_unknown_keys(region, _REGION_KEYS, "region")
@@ -175,8 +184,8 @@ class ExperimentConfig:
         dist = doc.get("distribution")
         return cls(
             kind=doc.get("kind", ""),
-            width=_number(region.get("width", 0.0), "width"),
-            height=_number(region.get("height", 0.0), "height"),
+            width=_number(region.get("width"), "width"),
+            height=_number(region.get("height"), "height"),
             boundary=region.get("boundary", OPEN_BOX),
             radius=_number(doc.get("radius", 1.0), "radius"),
             lambdas=tuple(_number(v, f"lambdas[{i}]") for i, v in enumerate(lambdas)),

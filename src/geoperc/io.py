@@ -1,8 +1,12 @@
 """Stable file formats: graph JSON, experiment configs, result tables.
 
-Graph files store only region, radius, and points; adjacency is recomputed on
-load so files stay O(n) and can never go stale. All numeric output uses full
-round-trip precision (repr), so CSV and JSON emissions carry identical numbers.
+Every document passes through this module: ``dump_json`` is the one JSON
+writer and rejects NaN and infinities, ``write_text`` the one output path (a
+file, or stdout), ``load_json`` the one reader. Graph files store only region,
+radius, and points; adjacency is recomputed on load so files stay O(n) and can
+never go stale. ``to_csv`` writes the same flat records a JSON document
+carries, its header their keys, with floats at full round-trip precision, so
+the CSV and JSON forms of a result hold identical numbers.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import sys
 import warnings
 
 from .geometry import OPEN_BOX, PointSet, Region, _BOUNDARIES
@@ -80,54 +85,41 @@ def graph_from_dict(doc: dict) -> SpatialGraph:
     return build_graph(point_set, float(doc["radius"]))
 
 
-def save_graph(graph: SpatialGraph, path: str, meta: dict | None = None) -> None:
-    text = json.dumps(graph_to_dict(graph, meta), allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def dump_json(doc, indent: int | None = None) -> str:
+    """doc as strict JSON text plus a newline; NaN or an infinity raises ValueError."""
+    return json.dumps(doc, indent=indent, allow_nan=False) + "\n"
+
+
+def write_text(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
+def load_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def save_graph(graph: SpatialGraph, path: str | None, meta: dict | None = None) -> None:
+    write_text(dump_json(graph_to_dict(graph, meta)), path)
 
 
 def load_graph(path: str) -> SpatialGraph:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-    return graph_from_dict(doc)
+    return graph_from_dict(load_json(path))
 
 
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def sweep_rows(points) -> tuple[list[str], list[list]]:
-    """Header and rows for a sweep result table: parameters, estimate, stderr, trials."""
-    param_keys: list[str] = []
-    for p in points:
-        for key in p.params:
-            if key not in param_keys:
-                param_keys.append(key)
-    header = param_keys + ["estimate", "stderr", "trials"]
-    rows = [
-        [p.params.get(k, "") for k in param_keys] + [p.estimate, p.stderr, p.trials]
-        for p in points
-    ]
-    return header, rows
-
-
-def cascade_rows(records) -> tuple[list[str], list[list]]:
-    header = [
-        "trial_seed", "feasible", "seed_node", "largest_vulnerable_fraction",
-        "failed_count", "failed_fraction", "rounds", "largest_failed_fraction",
-        "seed_in_largest_failed",
-    ]
-    rows = [[d[k] for k in header] for d in (r.to_dict() for r in records)]
-    return header, rows
-
-
-def to_csv(header: list[str], rows: list[list]) -> str:
+def to_csv(records: list[dict]) -> str:
+    """Non-empty flat records as CSV: the header is the first record's keys, a row each
+    record's values."""
     buf = _io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerow(records[0])
+    writer.writerows([str(v) for v in record.values()] for record in records)
     return buf.getvalue()

@@ -1,4 +1,6 @@
+import ast
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,8 +12,8 @@ import pytest
 
 import geoperc
 from geoperc.cli import _emit, build_parser, main
-from geoperc.experiments import BisectionResult, ExperimentConfig
-from geoperc.io import SchemaError, graph_from_dict, load_graph, save_graph
+from geoperc.experiments import BisectionResult, CascadeTrialRecord, ExperimentConfig
+from geoperc.io import SchemaError, dump_json, graph_from_dict, load_graph, save_graph, to_csv
 from geoperc.geometry import Region, generate_uniform
 from geoperc.graph import build_graph
 
@@ -174,8 +176,15 @@ def test_sweep_config_bad_integer_field_rejected_by_name(tmp_path, capsys, field
     [({"n": 400}, "n is used only with count_mode 'fixed', got n=400"),
      ({"trails": 3}, "unknown config key(s) ['trails']"),
      ({"region": {"width": 15, "height": 15, "boundry": "torus"}},
-      "unknown region key(s) ['boundry']")],
-    ids=["n-with-poisson-count", "unknown-key", "unknown-region-key"],
+      "unknown region key(s) ['boundry']"),
+     ({"rules": ["indep:0.9"]},
+      "rules are used only with kind 'failure-sweep', got rules=['indep:0.9']"),
+     ({"distribution": "pieces:0,1,1"},
+      "distribution is used only with kind 'cascade-trial', got kind 'percolation-sweep'"),
+     ({"kind": "failure-sweep", "rules": ["indep:0.3"], "distribution": "pieces:0,1,1"},
+      "distribution is used only with kind 'cascade-trial'")],
+    ids=["n-with-poisson-count", "unknown-key", "unknown-region-key", "rules-on-percolation",
+         "distribution-on-percolation", "distribution-on-failure-sweep"],
 )
 def test_sweep_config_ignored_field_rejected_by_name(tmp_path, capsys, extra, message):
     config = {"kind": "percolation-sweep", "region": {"width": 15, "height": 15},
@@ -187,6 +196,29 @@ def test_sweep_config_ignored_field_rejected_by_name(tmp_path, capsys, extra, me
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {message}"), err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [({"lambdas": [3.0, 3.0, -1.0]}, "lambdas[2] must be non-negative, got -1.0"),
+     ({"region": {"height": 15}}, "width must be a finite number, got None"),
+     ({"region": {"width": 15}}, "height must be a finite number, got None"),
+     ({"giant_threshold": -5}, "giant_threshold must be in (0, 1], got -5.0"),
+     ({"giant_threshold": 0}, "giant_threshold must be in (0, 1], got 0.0"),
+     ({"giant_threshold": 7, "lambdas": [3.0]}, "giant_threshold must be in (0, 1], got 7.0")],
+    ids=["negative-lambda", "missing-width", "missing-height", "giant-threshold-negative",
+         "giant-threshold-zero", "giant-threshold-above-one"],
+)
+def test_sweep_config_bad_value_rejected_by_name(tmp_path, capsys, change, message):
+    config = {"kind": "percolation-sweep", "region": {"width": 15, "height": 15},
+              "lambdas": [1.0], "trials": 2, "proxy": "giant-fraction", **change}
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(config, fh)
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg_path)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -506,6 +538,64 @@ def test_sweep_cascade_records(tmp_path, capsys):
     doc = json.loads(out)
     assert len(doc["records"]) == 3
     assert doc["params"]["effective_config"]["trials"] == 3
+
+
+_CASCADE_CONFIG = {
+    "kind": "cascade-trial",
+    "region": {"width": 15, "height": 15},
+    "n": 200,
+    "count_mode": "fixed",
+    "distribution": "pieces:0,0.1,7.5;0.1,1,0.2777777777777778",
+    "trials": 4,
+    "base_seed": 4,
+}
+
+
+def test_cascade_csv_rows_are_the_json_records(tmp_path, capsys):
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(_CASCADE_CONFIG, fh)
+    _, out_json, _ = run_cli(capsys, "sweep", "--config", cfg_path)
+    records = _strict_json(out_json)["records"]
+    _, out_csv, _ = run_cli(capsys, "sweep", "--config", cfg_path, "--format", "csv")
+    assert out_csv == to_csv(records)
+    reader = csv.DictReader(io.StringIO(out_csv))
+    assert reader.fieldnames == [f.name for f in dataclasses.fields(CascadeTrialRecord)]
+    rows = list(reader)
+    assert len(rows) == len(records) == 4
+    for row, record in zip(rows, records):
+        assert row == {key: str(value) for key, value in record.items()}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_file_bytes_equal_stdout(tmp_path, capsys, fmt):
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(_CASCADE_CONFIG, fh)
+    doc = _strict_json(run_cli(capsys, "sweep", "--config", cfg_path)[1])
+    expected = dump_json(doc, indent=2) if fmt == "json" else to_csv(doc["records"])
+    _, stdout, _ = run_cli(capsys, "sweep", "--config", cfg_path, "--format", fmt)
+    out_path = tmp_path / f"out.{fmt}"
+    code, out, _ = run_cli(capsys, "sweep", "--config", cfg_path, "--format", fmt,
+                           "--out", str(out_path))
+    assert (code, out) == (0, "")
+    assert out_path.read_bytes() == stdout.encode() == expected.encode()
+
+
+def test_json_is_read_and_written_only_in_io():
+    """Strict JSON cannot be bypassed: only geoperc/io.py touches the json module's
+    readers and writers, and it has one writer."""
+    uses = []
+    for path in sorted((REPO / "src" / "geoperc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"
+                    and node.attr in ("dump", "dumps", "load", "loads")):
+                uses.append((path.name, f"json.{node.attr}", node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                uses.append((path.name, "from json import", node.lineno))
+    assert [use for use in uses if use[0] != "io.py"] == []
+    assert [name for _, name, _ in uses].count("json.dumps") == 1
 
 
 def test_entropy_seed_echoed(tmp_path, capsys):
