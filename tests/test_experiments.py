@@ -18,8 +18,10 @@ from geoperc.experiments import (
     BisectionResult,
     ExperimentConfig,
     _critical_q,
+    _estimator_config,
     _median_ci_rank,
     _proxy_indicator,
+    _trial_critical_qs,
     estimate_lambda_c,
     estimate_qc,
     run_cascade_trials,
@@ -187,6 +189,21 @@ def test_estimators_deterministic():
     a = estimate_qc(2.0, trials=15, base_seed=3)
     b = estimate_qc(2.0, trials=15, base_seed=3)
     assert a == b
+
+
+# Exact per-trial critical values at the gate configs. Any change to a random
+# stream, the edge order or the crossing search shows here as a changed float,
+# not as a drift inside the gates' tolerances.
+GOLDEN_QC_Q_STAR = (0.45865547146325225, 0.48961114696415997, 0.49670847856442457,
+                    0.48298102736811066, 0.45637948056182087)
+GOLDEN_LAMBDA_C_STAR = (1.3111664517007409, 1.4070011295990663, 1.5461477285096752,
+                        1.4189253751013247, 1.3648133645855174)
+
+
+def test_estimator_trials_match_golden_values():
+    q_star = _trial_critical_qs(_estimator_config(2.87, 50.0, 1.0, 5, 11))
+    assert tuple(q_star.tolist()) == GOLDEN_QC_Q_STAR
+    assert estimate_lambda_c(trials=5, base_seed=2024).critical_values == GOLDEN_LAMBDA_C_STAR
 
 
 def test_failure_with_zero_rate_matches_unfailed():

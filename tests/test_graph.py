@@ -2,10 +2,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geoperc.geometry import OPEN_BOX, TORUS, PointSet, Region, generate_poisson, generate_uniform
-from geoperc.graph import _range_pairs, build_graph, components, crosses, crossing_level
+from geoperc.graph import (
+    _component_roots,
+    _range_pairs,
+    build_graph,
+    components,
+    crosses,
+    crossing_level,
+)
 
 from conftest import bfs_component_labels, bfs_crosses, brute_force_edges, neighbor_lists
 
@@ -75,6 +82,20 @@ def test_tiny_grids_canonical_layout(cells, boundary):
     for seed in range(4):
         pts = generate_uniform(50, region, seed=seed)
         _assert_canonical_layout(build_graph(pts, 1.0), pts, 1.0)
+
+
+@pytest.mark.parametrize("cells", [(16, 16), (16, 17), (256, 256), (256, 257)],
+                         ids=["uint8", "uint16-small", "uint16", "uint32"])
+def test_cell_sort_key_type_boundaries(cells):
+    # radius 1 gives int(side) cells per axis; cells sort by a key of the
+    # narrowest unsigned type holding the largest id: 255, 271, 65535, 65791
+    width, height = cells[0] + 0.5, cells[1] + 0.5
+    rng = np.random.default_rng(sum(cells))
+    spread = rng.random((150, 2)) * (width, height)
+    # a dense patch at the far corner holds the largest cell ids
+    corner = (width, height) - 4.0 * (1.0 - rng.random((150, 2)))
+    g = _graph_from_coords(np.vstack((spread, corner)), width, height)
+    _assert_canonical_layout(g, g.points, 1.0)
 
 
 @settings(max_examples=20)
@@ -189,6 +210,46 @@ def test_components_match_bfs_oracle(medium_graph):
             assert lab.sizes.tolist() == [expected.count(c) for c in range(len(lab.sizes))]
             assert lab.largest_size == max(lab.sizes)
             assert lab.largest_id == lab.sizes.tolist().index(lab.largest_size)
+
+
+def _union_find_roots(n, edges):
+    """Reference roots: plain union-find that hangs the larger root under the
+    smaller, so each root is the smallest node of its component."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [find(i) for i in range(n)]
+
+
+@st.composite
+def _multigraphs(draw):
+    """n nodes and an edge list with self-loops, repeats and both orientations."""
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return 0, []
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    if edges:
+        edges += [(b, a) for a, b in draw(st.lists(st.sampled_from(edges), max_size=n))]
+    return n, draw(st.permutations(edges))
+
+
+@settings(max_examples=80)
+@given(graph=_multigraphs())
+@example(graph=(0, []))
+@example(graph=(6, []))
+def test_component_roots_match_union_find(graph):
+    n, edges = graph
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    roots = _component_roots(n, u, v)
+    assert roots.tolist() == _union_find_roots(n, edges)
 
 
 def test_components_mask_length_checked(medium_graph):
