@@ -32,9 +32,9 @@ from .geometry import OPEN_BOX, TORUS, PointSet, Region, generate_poisson, gener
 from .graph import ComponentLabeling, SpatialGraph, build_graph, components, crosses
 from .theory import (
     COLLAR_AREA,
+    LAMBDA_C,
+    MU_C,
     ConditionResult,
-    CriticalConstants,
-    DEFAULT_CONSTANTS,
     SubcriticalDensityError,
     block_count_cap,
     circuit_count_bound,

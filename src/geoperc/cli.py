@@ -3,8 +3,10 @@
 Every output document embeds the tool version, the effective parameters, and
 the seed, which is enough to re-run the command exactly. When --seed is
 omitted, ``main`` draws one seed from OS entropy and echoes it both to stderr
-and into the output metadata. Documents are written through ``geoperc.io``:
-strict JSON to --out or stdout, and for sweeps CSV of the same records.
+and into the output metadata. ``generate``, ``fail`` and ``cascade --seed T``
+draw from the substreams of trial seed T, so they replay trial T. Documents
+are written through ``geoperc.io``: strict JSON to --out or stdout, and for
+sweeps CSV of the same records.
 """
 
 from __future__ import annotations
@@ -16,20 +18,30 @@ import sys
 
 from . import __version__
 from .cascade import parse_distribution, run_cascade
-from .experiments import (
-    ExperimentConfig,
-    estimate_lambda_c,
-    estimate_qc,
-    run_cascade_trials,
-    run_sweep,
-)
+from .experiments import estimate_lambda_c, estimate_qc, run_cascade_trials, run_sweep
 from .failures import apply_failures, parse_rule
 from .geometry import OPEN_BOX, Region, generate_poisson, generate_uniform
 from .graph import build_graph
-from .io import dump_json, load_graph, load_json, save_graph, to_csv, write_text
-from .seeding import STREAM_SEED_NODE, generator_from_seed, substream
+from .io import (
+    config_from_dict,
+    config_to_dict,
+    dump_json,
+    load_graph,
+    load_json,
+    save_graph,
+    to_csv,
+    write_text,
+)
+from .seeding import (
+    STREAM_FAILURES,
+    STREAM_PLACEMENT,
+    STREAM_SEED_NODE,
+    STREAM_THRESHOLDS,
+    generator_from_seed,
+    substream,
+)
 from .theory import (
-    CriticalConstants,
+    LAMBDA_C,
     block_count_cap,
     circuit_count_bound,
     critical_phi,
@@ -64,10 +76,11 @@ def _cmd_generate(args) -> int:
     region = Region(args.width, args.height, args.boundary)
     if (args.n is None) == (args.lam is None):
         raise ValueError("exactly one of --n and --lambda is required")
+    placement_seed = substream(args.seed, STREAM_PLACEMENT)
     if args.n is not None:
-        points = generate_uniform(args.n, region, args.seed)
+        points = generate_uniform(args.n, region, placement_seed)
     else:
-        points = generate_poisson(args.lam, region, args.seed)
+        points = generate_poisson(args.lam, region, placement_seed)
     graph = build_graph(points, args.radius)
     params = {
         "n": args.n, "lambda": args.lam, "width": args.width, "height": args.height,
@@ -84,7 +97,7 @@ def _cmd_generate(args) -> int:
 def _cmd_fail(args) -> int:
     graph = load_graph(args.graph)
     rule = parse_rule(args.rule)
-    outcome = apply_failures(graph, rule, args.seed)
+    outcome = apply_failures(graph, rule, substream(args.seed, STREAM_FAILURES))
     params = {"graph": args.graph, "rule": args.rule}
     doc = _document(
         "fail", params, args.seed,
@@ -103,7 +116,7 @@ def _cmd_cascade(args) -> int:
     dist = parse_distribution(args.dist)
     if len(graph) == 0:
         raise ValueError("cannot run a cascade on an empty graph")
-    thresholds = dist.sample(len(graph), args.seed)
+    thresholds = dist.sample(len(graph), substream(args.seed, STREAM_THRESHOLDS))
     if args.seed_node is not None:
         seed_node = args.seed_node
     else:
@@ -117,7 +130,7 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = ExperimentConfig.from_dict(load_json(args.config))
+    config = config_from_dict(load_json(args.config))
     if config.kind == "cascade-trial":
         key, records = "records", [r.to_dict() for r in run_cascade_trials(config)]
     else:
@@ -126,7 +139,7 @@ def _cmd_sweep(args) -> int:
     if args.format == "csv":
         write_text(to_csv(records), args.out)
     else:
-        params = {"config": args.config, "effective_config": config.to_dict()}
+        params = {"config": args.config, "effective_config": config_to_dict(config)}
         _emit(_document("sweep", params, config.base_seed, {key: records}), args.out)
     return 0
 
@@ -135,7 +148,7 @@ def _cmd_theory(args) -> int:
     sub = args.theory_command
     if sub == "critical-q":
         doc = {"condition": "critical-q", "lambda": args.lam, "lambda_c": args.lambda_c,
-               "q_c": critical_q(args.lam, CriticalConstants(args.lambda_c))}
+               "q_c": critical_q(args.lam, args.lambda_c)}
     elif sub == "critical-phi":
         value = critical_phi(args.lam)
         doc = {"condition": "critical-phi", "lambda": args.lam,
@@ -245,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "circuit-bound":
             tp.add_argument("--lambda", dest="lam", type=float, required=True)
         if name == "critical-q":
-            tp.add_argument("--lambda-c", dest="lambda_c", type=float, default=1.435)
+            tp.add_argument("--lambda-c", dest="lambda_c", type=float, default=LAMBDA_C)
         if name == "failure-condition":
             tp.add_argument("--rule", required=True)
         if name == "cascade-condition":

@@ -20,23 +20,16 @@ of the per-trial values: common random numbers, no graph built.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
-from .cascade import (
-    ThresholdDistribution,
-    classify,
-    distribution_to_text,
-    parse_distribution,
-    run_cascade,
-)
-from .failures import FailureRule, apply_failures, parse_rule
+from .cascade import ThresholdDistribution, classify, run_cascade
+from .failures import FailureRule, apply_failures
 from .geometry import OPEN_BOX, Region, generate_poisson, generate_uniform
 from .graph import SpatialGraph, _neighbor_counts, build_graph, components, crosses, crossing_level
-from .io import _is_number
 from .seeding import (
     STREAM_FAILURES,
     STREAM_PLACEMENT,
@@ -46,47 +39,12 @@ from .seeding import (
     generator_from_seed,
     substream,
 )
-from .theory import CriticalConstants, DEFAULT_CONSTANTS, SubcriticalDensityError
+from .theory import LAMBDA_C, SubcriticalDensityError
 
 KINDS = ("percolation-sweep", "failure-sweep", "cascade-trial")
 PROXIES = ("crossing", "giant-fraction")
 SEEDINGS = ("random-node", "adjacent-to-largest-vulnerable-component")
 COUNT_MODES = ("poisson", "fixed")
-_REGION_KEYS = ("width", "height", "boundary")
-
-
-def _integer_field(doc: dict, name: str, default: int | None) -> int | None:
-    """doc[name] as an int; NaN, infinities and non-integral values fail by name."""
-    value = doc.get(name, default)
-    if value is None or _is_number(value) and isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _reject_unknown_keys(doc: dict, known: tuple[str, ...], where: str) -> None:
-    unknown = [key for key in doc if key not in known]
-    if unknown:
-        raise ValueError(f"unknown {where} key(s) {unknown}; expected a subset of {list(known)}")
-
-
-def _typed(value, name: str, types, what: str):
-    """value if it has one of the JSON types; otherwise an error naming the field."""
-    if not isinstance(value, types):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return value
-
-
-def _number(value, name: str) -> float:
-    """A JSON number as a float; an integer past the float range becomes inf,
-    which the config's finiteness check then rejects by name."""
-    if not _is_number(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -122,6 +80,8 @@ class ExperimentConfig:
                 raise ValueError(f"lambdas[{i}] must be non-negative, got {lam}")
         if not 0 < self.giant_threshold <= 1:
             raise ValueError(f"giant_threshold must be in (0, 1], got {self.giant_threshold}")
+        if not self.radius > 0:
+            raise ValueError(f"radius must be positive, got {self.radius}")
         object.__setattr__(self, "region", Region(self.width, self.height, self.boundary))
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
@@ -131,9 +91,16 @@ class ExperimentConfig:
             raise ValueError(f"seeding must be one of {SEEDINGS}, got {self.seeding!r}")
         if self.count_mode not in COUNT_MODES:
             raise ValueError(f"count_mode must be one of {COUNT_MODES}, got {self.count_mode!r}")
-        if self.n is not None and self.count_mode != "fixed":
-            raise ValueError(f"n is used only with count_mode 'fixed', got n={self.n} "
-                             f"with count_mode {self.count_mode!r}")
+        if self.n is not None:
+            if self.count_mode != "fixed":
+                raise ValueError(f"n is used only with count_mode 'fixed', got n={self.n} "
+                                 f"with count_mode {self.count_mode!r}")
+            if self.n < 0:
+                raise ValueError(f"n must be non-negative, got {self.n}")
+            # with a grid, each lambda sets its own point count
+            if self.lambdas:
+                raise ValueError(f"n is used only without lambdas, got n={self.n} "
+                                 f"with lambdas={list(self.lambdas)}")
         if self.rules and self.kind != "failure-sweep":
             raise ValueError(f"rules are used only with kind 'failure-sweep', got rules="
                              f"{[r.to_text() for r in self.rules]} with kind {self.kind!r}")
@@ -153,57 +120,6 @@ class ExperimentConfig:
             if len(self.lambdas) > 1:
                 raise ValueError("cascade-trial runs at one lambda, got lambdas="
                                  f"{list(self.lambdas)}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "region": {"width": self.width, "height": self.height, "boundary": self.boundary},
-            "radius": self.radius,
-            "lambdas": list(self.lambdas),
-            "rules": [r.to_text() for r in self.rules],
-            "distribution": None
-            if self.distribution is None
-            else distribution_to_text(self.distribution),
-            "seeding": self.seeding,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "proxy": self.proxy,
-            "giant_threshold": self.giant_threshold,
-            "count_mode": self.count_mode,
-            "n": self.n,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ValueError("experiment config must be a JSON object")
-        # the keys to_dict writes: the fields, with the region's sides nested under "region"
-        known = tuple(f.name for f in fields(cls) if f.name not in _REGION_KEYS)
-        _reject_unknown_keys(doc, known, "config")
-        region = _typed(doc.get("region", {}), "region", dict, "an object")
-        _reject_unknown_keys(region, _REGION_KEYS, "region")
-        lambdas = _typed(doc.get("lambdas", []), "lambdas", list, "a list")
-        rules = _typed(doc.get("rules", []), "rules", list, "a list")
-        dist = doc.get("distribution")
-        return cls(
-            kind=doc.get("kind", ""),
-            width=_number(region.get("width"), "width"),
-            height=_number(region.get("height"), "height"),
-            boundary=region.get("boundary", OPEN_BOX),
-            radius=_number(doc.get("radius", 1.0), "radius"),
-            lambdas=tuple(_number(v, f"lambdas[{i}]") for i, v in enumerate(lambdas)),
-            rules=tuple(parse_rule(_typed(t, f"rules[{i}]", str, "a string"))
-                        for i, t in enumerate(rules)),
-            distribution=None if dist is None
-            else parse_distribution(_typed(dist, "distribution", str, "a string")),
-            seeding=doc.get("seeding", "random-node"),
-            trials=_integer_field(doc, "trials", 100),
-            base_seed=_integer_field(doc, "base_seed", 0),
-            proxy=doc.get("proxy", "crossing"),
-            giant_threshold=_number(doc.get("giant_threshold", 0.1), "giant_threshold"),
-            count_mode=doc.get("count_mode", "poisson"),
-            n=_integer_field(doc, "n", None),
-        )
 
 
 @dataclass(frozen=True)
@@ -460,16 +376,13 @@ def estimate_qc(
     base_seed: int = 0,
     bracket: tuple[float, float] = (0.0, 1.0),
     target_width: float = 0.02,
-    constants: CriticalConstants = DEFAULT_CONSTANTS,
 ) -> BisectionResult:
     """Bisect the independent-failure probability at which crossing drops to 1/2.
 
     Each trial builds one graph and crosses at q iff q <= its q*.
     """
-    if lam <= constants.lambda_c:
-        raise SubcriticalDensityError(
-            f"lambda={lam} is not above the critical density {constants.lambda_c}"
-        )
+    if lam <= LAMBDA_C:
+        raise SubcriticalDensityError(f"lambda={lam} is not above the critical density {LAMBDA_C}")
     lo, hi = bracket
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"bracket {bracket} is not an interval inside [0, 1]")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .graph import SpatialGraph
 from .seeding import generator_from_seed
-from .theory import CriticalConstants, DEFAULT_CONSTANTS
+from .theory import MU_C
 
 
 class FailureRule:
@@ -145,9 +145,7 @@ def parse_rule(text: str) -> FailureRule:
     raise ValueError(f"unknown failure rule kind {kind!r} (expected indep, attack, or table)")
 
 
-def degree_margin_rule(
-    mu: float, max_degree: int, constants: CriticalConstants = DEFAULT_CONSTANTS
-) -> DegreeFunctionFailure:
+def degree_margin_rule(mu: float, max_degree: int) -> DegreeFunctionFailure:
     """q(k) = max(0, 1 - mu_c/mu - 1/k) tabulated through max_degree.
 
     Leaves each degree-k node a survival probability of at least
@@ -156,7 +154,7 @@ def degree_margin_rule(
     """
     if mu <= 0:
         raise ValueError(f"mean degree must be positive, got {mu}")
-    margin = 1.0 - constants.mu_c / mu
+    margin = 1.0 - MU_C / mu
     table = [0.0]
     for k in range(1, max_degree + 1):
         table.append(max(0.0, margin - 1.0 / k))
@@ -181,7 +179,7 @@ def apply_failures(graph: SpatialGraph, rule: FailureRule, seed: int) -> Failure
 
 
 def thinning_check(graph: SpatialGraph, q: float, seed: int) -> float:
-    """Survivor density after independent thinning; should be (1-q) * intensity."""
+    """Survivor density after independent thinning; should be (1-q) * lambda."""
     _check_probability(q, "thinning probability")
     outcome = apply_failures(graph, IndependentFailure(q), seed)
     return float(outcome.alive.sum()) / graph.points.region.area

@@ -39,16 +39,10 @@ class Region:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Immutable planar points inside a region.
-
-    ``intensity`` is the nominal point density (per unit area): the exact
-    ratio count/area for fixed-count sampling, or the requested rate for
-    Poisson sampling.
-    """
+    """Immutable planar points inside a region."""
 
     coordinates: np.ndarray
     region: Region
-    intensity: float
 
     def __post_init__(self):
         # private copy: the set is immutable and must not alias caller data
@@ -75,7 +69,7 @@ def generate_uniform(n: int, region: Region, seed: int) -> PointSet:
         raise ValueError(f"point count must be non-negative, got {n}")
     gen = generator_from_seed(seed)
     coords = gen.random((n, 2)) * np.array([region.width, region.height])
-    return PointSet(coords, region, n / region.area)
+    return PointSet(coords, region)
 
 
 def generate_poisson(lam: float, region: Region, seed: int) -> PointSet:
@@ -85,4 +79,4 @@ def generate_poisson(lam: float, region: Region, seed: int) -> PointSet:
     gen = generator_from_seed(seed)
     count = int(gen.poisson(lam * region.area))
     coords = gen.random((count, 2)) * np.array([region.width, region.height])
-    return PointSet(coords, region, lam)
+    return PointSet(coords, region)

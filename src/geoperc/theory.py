@@ -1,10 +1,13 @@
 """Closed-form percolation and cascade conditions.
 
-All series are Poisson-weighted sums truncated once the remaining Poisson tail
-mass drops below the tolerance; every summand is bounded by its
-Poisson weight (probabilities are <= 1), so the truncation error is below the
-tolerance. Condition evaluators return the raw left-hand value together with
-the decision threshold so sweeps can plot margins, never just the boolean.
+The critical density is one constant, ``LAMBDA_C``, and the critical mean
+degree is ``MU_C = pi LAMBDA_C``; only ``critical_q`` takes another value (the
+CLI's ``--lambda-c``). All series are Poisson-weighted sums truncated once the
+remaining Poisson tail mass drops below the tolerance; every summand is bounded
+by its Poisson weight (probabilities are <= 1), so the truncation error is
+below the tolerance. Condition evaluators return the raw left-hand value
+together with the decision threshold so sweeps can plot margins, never just
+the boolean.
 """
 
 from __future__ import annotations
@@ -26,29 +29,12 @@ class SubcriticalDensityError(ValueError):
     """Raised when an operation requires a supercritical density."""
 
 
-@dataclass(frozen=True)
-class CriticalConstants:
-    """Critical density of the unit-radius geometric graph (configurable).
-
-    The default 1.435 is the midpoint of the simulation bracket (1.43, 1.44);
-    downstream quantities (q_c, mu_c) inherit its uncertainty. The literature
-    value is lambda_c = 4 eta_c / pi ~ 1.4363 with eta_c = 1.12808737 for disks
-    (Mertens & Moore, Phys. Rev. E 86, 061109 (2012)); the default is 0.09%
-    lower.
-    """
-
-    lambda_c: float = 1.435
-
-    def __post_init__(self):
-        if not self.lambda_c > 0:
-            raise ValueError(f"critical density must be positive, got {self.lambda_c}")
-
-    @property
-    def mu_c(self) -> float:
-        return self.lambda_c * math.pi
-
-
-DEFAULT_CONSTANTS = CriticalConstants()
+# Critical density of the unit-radius geometric graph, the midpoint of the
+# simulation bracket (1.43, 1.44); q_c and mu_c inherit its uncertainty. It is
+# 0.09% below the literature value 4 eta_c / pi ~ 1.4363, eta_c = 1.12808737
+# for disks (Mertens & Moore, Phys. Rev. E 86, 061109 (2012)).
+LAMBDA_C = 1.435
+MU_C = LAMBDA_C * math.pi
 
 
 # Bounds the Poisson series when the tolerance lies below float resolution.
@@ -65,19 +51,20 @@ class ConditionResult:
     relation: str  # ">" or ">=" or "<"
 
 
-def critical_q(lam: float, constants: CriticalConstants = DEFAULT_CONSTANTS) -> float:
+def critical_q(lam: float, lambda_c: float = LAMBDA_C) -> float:
     """Critical independent-failure probability 1 - lambda_c / lambda.
 
     Defined for lam >= lambda_c (zero exactly at the critical density);
     subcritical densities have no percolation to destroy.
     """
+    _require_positive(lambda_c, "critical density")
     _require_positive(lam)
-    if lam < constants.lambda_c:
+    if lam < lambda_c:
         raise SubcriticalDensityError(
-            f"lambda={lam} is below the critical density {constants.lambda_c}; "
+            f"lambda={lam} is below the critical density {lambda_c}; "
             "q_c is undefined in the subcritical phase"
         )
-    return 1.0 - constants.lambda_c / lam
+    return 1.0 - lambda_c / lam
 
 
 def _poisson_pmf(mean: float, tol: float) -> np.ndarray:
@@ -180,13 +167,7 @@ def no_cascade_condition(
     return ConditionResult(lhs, ONE_27TH, lhs < ONE_27TH, "<")
 
 
-def vulnerable_percolation_check(
-    mu: float,
-    mu1: float,
-    dist,
-    k0: int,
-    constants: CriticalConstants = DEFAULT_CONSTANTS,
-) -> ConditionResult:
+def vulnerable_percolation_check(mu: float, mu1: float, dist, k0: int) -> ConditionResult:
     """Sufficient condition F(1/k0) >= mu1/mu for a giant vulnerable component.
 
     k0 is caller-supplied: the block cap it derives from is not computable in
@@ -194,8 +175,8 @@ def vulnerable_percolation_check(
     """
     if not mu > mu1:
         raise ValueError(f"mu={mu} must exceed mu1={mu1}")
-    if not mu1 > constants.mu_c:
-        raise ValueError(f"mu1={mu1} must exceed the critical mean degree {constants.mu_c}")
+    if not mu1 > MU_C:
+        raise ValueError(f"mu1={mu1} must exceed the critical mean degree {MU_C}")
     if k0 < 1:
         raise ValueError(f"k0 must be at least 1, got {k0}")
     lhs = float(dist.cdf(1.0 / k0))

@@ -1,6 +1,8 @@
-"""The traced benchmark run (perfbench/tracer.py) replaces geoperc attributes by
-name and reads fields of their results; a rename or a deleted field would break
-only that run. These tests load the tracer as it is and exercise its hooks."""
+"""The benchmark (perfbench/) calls geoperc entry points by name and reads
+fields of their results: the traced run replaces attributes and counts result
+fields, and the workloads pass keyword arguments and check outputs. A rename, a
+removed parameter or a deleted field would break only the benchmark run. These
+tests load the tracer and the workloads as they are and exercise them."""
 
 import importlib.util
 from pathlib import Path
@@ -9,10 +11,18 @@ from geoperc import experiments
 from geoperc.cascade import ThresholdDistribution
 from geoperc.failures import IndependentFailure
 
-_TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-_spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER_PATH)
-tracer = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracer)
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load("tracer")
+workloads = _load("workloads")
 
 
 def test_trace_targets_resolve():
@@ -41,3 +51,11 @@ def test_traced_run_counts_result_fields():
     assert t.counts["graph.edges"] > 0
     assert t.counts["failures.nodes"] > 0
     assert t.counts["cascade.rounds"] >= 2
+
+
+def test_workloads_pass_their_checks_at_tiny_size():
+    for name, (task, warm, check) in workloads.WORKLOADS.items():
+        p = workloads.SIZES["tiny"][name]
+        seeds = workloads.seeds_for(name, None)
+        warm(p, seeds)
+        assert check(task(p, seeds), p) == [], name

@@ -26,7 +26,7 @@ NEAR_ONE = ThresholdDistribution(((0.0, 0.999, 1 / 999), (0.999, 1.0, 999.0)))
 
 def _graph_from_coords(coords, side=10.0, radius=1.0):
     region = Region(side, side)
-    pts = PointSet(np.asarray(coords, dtype=float), region, len(coords) / region.area)
+    pts = PointSet(np.asarray(coords, dtype=float), region)
     return build_graph(pts, radius)
 
 

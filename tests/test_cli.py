@@ -12,10 +12,27 @@ import pytest
 
 import geoperc
 from geoperc.cli import _emit, build_parser, main
-from geoperc.experiments import BisectionResult, CascadeTrialRecord, ExperimentConfig
-from geoperc.io import SchemaError, dump_json, graph_from_dict, load_graph, save_graph, to_csv
+from geoperc.cascade import distribution_to_text
+from geoperc.experiments import (
+    BisectionResult,
+    CascadeTrialRecord,
+    ExperimentConfig,
+    _trial_graph,
+    run_cascade_trials,
+)
+from geoperc.failures import apply_failures, parse_rule
+from geoperc.io import (
+    SchemaError,
+    config_from_dict,
+    dump_json,
+    graph_from_dict,
+    load_graph,
+    save_graph,
+    to_csv,
+)
 from geoperc.geometry import Region, generate_uniform
 from geoperc.graph import build_graph
+from geoperc.seeding import STREAM_FAILURES, substream
 
 from test_acceptance import HEAVY_LOW, NEAR_ONE
 
@@ -207,9 +224,16 @@ def test_sweep_config_ignored_field_rejected_by_name(tmp_path, capsys, extra, me
      ({"giant_threshold": 0}, "giant_threshold must be in (0, 1], got 0.0"),
      ({"giant_threshold": 7, "lambdas": [3.0]}, "giant_threshold must be in (0, 1], got 7.0"),
      ({"kind": "cascade-trial", "distribution": "pieces:0,1,1", "lambdas": [2.0, 7.0]},
-      "cascade-trial runs at one lambda, got lambdas=[2.0, 7.0]")],
+      "cascade-trial runs at one lambda, got lambdas=[2.0, 7.0]"),
+     ({"count_mode": "fixed", "n": 300, "lambdas": [0.5, 3.0]},
+      "n is used only without lambdas, got n=300 with lambdas=[0.5, 3.0]"),
+     ({"radius": -1}, "radius must be positive, got -1.0"),
+     ({"radius": 0}, "radius must be positive, got 0.0"),
+     ({"kind": "cascade-trial", "distribution": "pieces:0,1,1", "lambdas": [],
+       "count_mode": "fixed", "n": -5}, "n must be non-negative, got -5")],
     ids=["negative-lambda", "missing-width", "missing-height", "giant-threshold-negative",
-         "giant-threshold-zero", "giant-threshold-above-one", "cascade-trial-two-lambdas"],
+         "giant-threshold-zero", "giant-threshold-above-one", "cascade-trial-two-lambdas",
+         "n-beside-lambdas", "radius-negative", "radius-zero", "n-negative"],
 )
 def test_sweep_config_bad_value_rejected_by_name(tmp_path, capsys, change, message):
     config = {"kind": "percolation-sweep", "region": {"width": 15, "height": 15},
@@ -460,6 +484,31 @@ def test_cascade_command(tmp_path, capsys):
     assert failed.sum() == sum(len(r) for r in doc["rounds"])
 
 
+def test_cli_commands_replay_a_harness_trial(tmp_path, capsys):
+    """generate, fail and cascade --seed T draw from the substreams of trial seed T,
+    so they reproduce trial T of an experiment."""
+    config = ExperimentConfig(kind="cascade-trial", width=12.0, height=12.0, n=300,
+                              count_mode="fixed", distribution=HEAVY_LOW, trials=4, base_seed=5)
+    path = str(tmp_path / "g.json")
+    rule = "indep:0.4"
+    for record in run_cascade_trials(config):
+        seed = str(record.trial_seed)
+        run_cli(capsys, "generate", "--n", "300", "--width", "12", "--height", "12",
+                "--seed", seed, "--out", path)
+        graph = _trial_graph(config, 0, record.trial_seed)
+        assert np.array_equal(load_graph(path).edges, graph.edges)
+        code, out, _ = run_cli(capsys, "cascade", "--graph", path,
+                               "--dist", distribution_to_text(HEAVY_LOW), "--seed", seed)
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["seed_node"], sum(doc["failed"]), len(doc["rounds"])) == (
+            record.seed_node, record.failed_count, record.rounds)
+        code, out, _ = run_cli(capsys, "fail", "--graph", path, "--rule", rule, "--seed", seed)
+        failures_seed = substream(record.trial_seed, STREAM_FAILURES)
+        assert json.loads(out)["alive"] == apply_failures(
+            graph, parse_rule(rule), failures_seed).alive.tolist()
+
+
 def test_sweep_csv_json_consistency(tmp_path, capsys):
     config = {
         "kind": "percolation-sweep",
@@ -632,7 +681,7 @@ def test_output_metadata_complete(capsys):
 )
 def test_example_config_is_the_criterion_4_config(name, expected):
     doc = json.loads((REPO / "examples" / f"{name}.json").read_text())
-    assert ExperimentConfig.from_dict(doc) == expected
+    assert config_from_dict(doc) == expected
 
 
 def test_readme_experiment_commands_parse():

@@ -30,6 +30,7 @@ from geoperc.experiments import (
 )
 from geoperc.geometry import Region, generate_poisson, generate_uniform
 from geoperc.graph import build_graph, crosses
+from geoperc.io import SchemaError, config_from_dict, config_to_dict
 from geoperc.seeding import STREAM_FAILURES, STREAM_PLACEMENT, derive_seed, substream
 from geoperc.theory import SubcriticalDensityError
 
@@ -62,8 +63,8 @@ def test_config_round_trip():
         trials=5,
         base_seed=77,
     )
-    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-    cfg2 = ExperimentConfig.from_dict(
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    cfg2 = config_from_dict(
         {
             "kind": "cascade-trial",
             "region": {"width": 15, "height": 15},
@@ -75,11 +76,11 @@ def test_config_round_trip():
     )
     assert cfg2.n == 100
     assert cfg2.distribution is not None
-    assert ExperimentConfig.from_dict(cfg2.to_dict()) == cfg2
+    assert config_from_dict(config_to_dict(cfg2)) == cfg2
     with pytest.raises(ValueError):
-        ExperimentConfig.from_dict({"kind": "failure-sweep", "region": {"width": 10, "height": 10}})
-    with pytest.raises(ValueError):
-        ExperimentConfig.from_dict([1, 2, 3])
+        config_from_dict({"kind": "failure-sweep", "region": {"width": 10, "height": 10}})
+    with pytest.raises(SchemaError, match="experiment config must be a JSON object"):
+        config_from_dict([1, 2, 3])
 
 
 def test_config_rejects_n_outside_fixed_count_mode():
@@ -95,12 +96,12 @@ def test_config_rejects_n_outside_fixed_count_mode():
 
 
 def test_config_from_dict_rejects_unknown_keys():
-    doc = ExperimentConfig(kind="percolation-sweep", width=15.0, height=15.0,
-                           lambdas=(2.0,)).to_dict()
-    with pytest.raises(ValueError, match=r"unknown config key\(s\) \['trails'\]"):
-        ExperimentConfig.from_dict({**doc, "trails": 3})
-    with pytest.raises(ValueError, match=r"unknown region key\(s\) \['widht'\]"):
-        ExperimentConfig.from_dict({**doc, "region": {**doc["region"], "widht": 3}})
+    doc = config_to_dict(ExperimentConfig(kind="percolation-sweep", width=15.0, height=15.0,
+                                          lambdas=(2.0,)))
+    with pytest.raises(SchemaError, match=r"unknown config key\(s\) \['trails'\]"):
+        config_from_dict({**doc, "trails": 3})
+    with pytest.raises(SchemaError, match=r"unknown region key\(s\) \['widht'\]"):
+        config_from_dict({**doc, "region": {**doc["region"], "widht": 3}})
 
 
 def test_single_trial_estimate_is_binary():

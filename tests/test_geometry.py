@@ -21,7 +21,7 @@ def test_region_validation():
 def test_pointset_rejects_outside_points():
     for bad in ([6.0, 1.0], [np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf]):
         with pytest.raises(ValueError, match=r"points\[1\]"):
-            PointSet([[1.0, 1.0], bad], Region(5.0, 5.0), 2 / 25)
+            PointSet([[1.0, 1.0], bad], Region(5.0, 5.0))
 
 
 def test_generate_uniform_empty():
@@ -31,10 +31,9 @@ def test_generate_uniform_empty():
         generate_uniform(-1, Region(10.0, 10.0), seed=1)
 
 
-def test_generate_uniform_intensity():
+def test_generate_uniform_count():
     pts = generate_uniform(1600, Region(25.0, 25.0), seed=7)
     assert len(pts) == 1600
-    assert pts.intensity == pytest.approx(2.56)
 
 
 def test_generate_uniform_deterministic():
@@ -83,7 +82,7 @@ def test_open_box_mean_degree_strictly_smaller():
     torus_means, box_means = [], []
     for s in range(30):
         pts_t = generate_poisson(1.44, torus, seed=s)
-        pts_b = PointSet(pts_t.coordinates, box, pts_t.intensity)
+        pts_b = PointSet(pts_t.coordinates, box)
         torus_means.append(build_graph(pts_t, 1.0).mean_degree())
         box_means.append(build_graph(pts_b, 1.0).mean_degree())
     assert np.mean(box_means) < np.mean(torus_means)

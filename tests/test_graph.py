@@ -19,7 +19,7 @@ from conftest import bfs_component_labels, bfs_crosses, brute_force_edges, neigh
 
 def _graph_from_coords(coords, width=10.0, height=10.0, radius=1.0, boundary=OPEN_BOX):
     region = Region(width, height, boundary)
-    pts = PointSet(np.asarray(coords, dtype=float), region, len(coords) / region.area)
+    pts = PointSet(np.asarray(coords, dtype=float), region)
     return build_graph(pts, radius)
 
 
@@ -109,14 +109,14 @@ def test_extreme_width_radius_ratio_matches_brute_force(seed, side, boundary):
     rng = np.random.default_rng(seed)
     center = rng.uniform(0.0, side, size=2)
     coords = np.clip(center + rng.uniform(-0.3, 0.3, size=(40, 2)), 0.0, side)
-    pts = PointSet(coords, Region(side, side, boundary), len(coords) / side**2)
+    pts = PointSet(coords, Region(side, side, boundary))
     _assert_canonical_layout(build_graph(pts, 0.1), pts, 0.1)
 
 
 def test_numpy_scalar_sides_overflow_without_warning():
     # side / radius overflows to inf; on numpy scalars that would also warn
     side = np.float64(1e15)
-    pts = PointSet(np.zeros((2, 2)), Region(side, side), 2 / 1e30)
+    pts = PointSet(np.zeros((2, 2)), Region(side, side))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g = build_graph(pts, 1e-300)
@@ -150,7 +150,7 @@ def _sparse_region_points(case, seed, boundary):
         side, radius = 1e3, 1.0
         base = rng.uniform(-1.0, 1.0, size=(4, 2)) % side
         coords = np.vstack((base, (base + rng.uniform(-0.6, 0.6, size=(4, 2))) % side))
-    return PointSet(coords, Region(side, side, boundary), len(coords) / side**2), radius
+    return PointSet(coords, Region(side, side, boundary)), radius
 
 
 @pytest.mark.parametrize("boundary", [OPEN_BOX, TORUS])

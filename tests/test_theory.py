@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from geoperc.cascade import ThresholdDistribution
 from geoperc.failures import DegreeFunctionFailure, IndependentFailure, ThresholdAttack
 from geoperc.theory import (
     COLLAR_AREA,
-    CriticalConstants,
+    LAMBDA_C,
     SubcriticalDensityError,
     block_count_cap,
     circuit_count_bound,
@@ -49,11 +51,22 @@ def mc_oracle_collar(lam, factor, seed):
 class TestCriticalQ:
     def test_nan_critical_density_rejected(self):
         with pytest.raises(ValueError, match="critical density must be positive, got nan"):
-            CriticalConstants(math.nan)
+            critical_q(2.0, lambda_c=math.nan)
 
     def test_double_critical_density(self):
-        c = CriticalConstants()
-        assert critical_q(2 * c.lambda_c) == pytest.approx(0.5)
+        assert critical_q(2 * LAMBDA_C) == pytest.approx(0.5)
+        assert critical_q(2 * 1.4363, lambda_c=1.4363) == pytest.approx(0.5)
+
+    def test_critical_density_literal_written_once(self):
+        """LAMBDA_C is the one owner of the critical density: no other float
+        literal of its value appears in the package."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "geoperc"
+        sites = [(path.name, node.lineno)
+                 for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Constant) and type(node.value) is float
+                 and node.value == 1.435]
+        assert len(sites) == 1, sites
 
     def test_boundary_is_zero(self):
         assert critical_q(1.435) == pytest.approx(0.0)
