@@ -76,6 +76,9 @@ def _cmd_generate(args) -> int:
     region = Region(args.width, args.height, args.boundary)
     if (args.n is None) == (args.lam is None):
         raise ValueError("exactly one of --n and --lambda is required")
+    for flag, value in (("--n", args.n), ("--lambda", args.lam)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be non-negative, got {value}")
     placement_seed = substream(args.seed, STREAM_PLACEMENT)
     if args.n is not None:
         points = generate_uniform(args.n, region, placement_seed)
@@ -322,6 +325,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

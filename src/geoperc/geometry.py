@@ -63,13 +63,20 @@ class PointSet:
         return len(self.coordinates)
 
 
+def _place(count: int, region: Region, gen: np.random.Generator) -> PointSet:
+    """count points i.i.d. uniform over the region, drawn from gen."""
+    try:
+        unit = gen.random((count, 2))
+    except MemoryError as exc:
+        raise MemoryError(f"cannot place {count} points: {exc}") from exc
+    return PointSet(unit * np.array([region.width, region.height]), region)
+
+
 def generate_uniform(n: int, region: Region, seed: int) -> PointSet:
     """n points placed i.i.d. uniformly over the region; deterministic given seed."""
     if n < 0:
         raise ValueError(f"point count must be non-negative, got {n}")
-    gen = generator_from_seed(seed)
-    coords = gen.random((n, 2)) * np.array([region.width, region.height])
-    return PointSet(coords, region)
+    return _place(n, region, generator_from_seed(seed))
 
 
 def generate_poisson(lam: float, region: Region, seed: int) -> PointSet:
@@ -77,6 +84,4 @@ def generate_poisson(lam: float, region: Region, seed: int) -> PointSet:
     if lam < 0:
         raise ValueError(f"intensity must be non-negative, got {lam}")
     gen = generator_from_seed(seed)
-    count = int(gen.poisson(lam * region.area))
-    coords = gen.random((count, 2)) * np.array([region.width, region.height])
-    return PointSet(coords, region)
+    return _place(int(gen.poisson(lam * region.area)), region, gen)

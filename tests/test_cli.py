@@ -5,6 +5,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import shlex
 
 import numpy as np
@@ -341,6 +342,24 @@ def test_cascade_condition_largest_normal_poisson_mean_evaluates(capsys):
     )
     assert code == 0
     assert json.loads(out)["lhs"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "argv, pattern",
+    [
+        (["--n", "-5"], r"error: --n must be non-negative, got -5$"),
+        (["--lambda", "-1"], r"error: --lambda must be non-negative, got -1\.0$"),
+        # about 2.25e17 points: numpy refuses the 3 EiB array before touching memory
+        (["--lambda", "1e15"], r"error: out of memory: cannot place \d{18} points: "),
+    ],
+)
+def test_generate_bad_point_count_is_one_error_line(capsys, argv, pattern):
+    code, out, err = run_cli(capsys, "generate", *argv, "--width", "15", "--height", "15",
+                             "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert re.match(pattern, err.rstrip("\n")), err
+    assert err.count("\n") == 1
 
 
 def test_generate_then_fail_attack(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -351,19 +352,84 @@ def test_critical_q_labels_each_graph_about_once(monkeypatch):
             assert crosses(graph, alive, rect, "left-right") is expected
 
 
-def test_estimators_build_one_graph_per_trial(monkeypatch):
-    built = []
+def _builds_per_trial(run):
+    """run(), with each trial's placed point count and the point count of
+    every graph the trial built, in trial order."""
+    trials = []
 
-    def counting_build_graph(*args, **kwargs):
-        built.append(1)
-        return build_graph(*args, **kwargs)
+    def placing_trial_points(*args):
+        points = trial_points(*args)
+        trials.append((len(points), []))
+        return points
 
-    monkeypatch.setattr(experiments, "build_graph", counting_build_graph)
-    estimate_qc(2.87, trials=7, base_seed=5)
-    assert len(built) == 7
-    built.clear()
-    estimate_lambda_c(trials=9, base_seed=5)
-    assert len(built) == 9
+    def counting_build_graph(points, radius):
+        trials[-1][1].append(len(points))
+        return build_graph(points, radius)
+
+    trial_points = experiments._trial_points
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_trial_points", placing_trial_points)
+        patch.setattr(experiments, "build_graph", counting_build_graph)
+        result = run()
+    return result, trials
+
+
+def test_estimators_build_one_graph_per_trial():
+    # one graph per trial, of the survivors only: a return to full builds, or
+    # a survivor graph that misses on every trial, fails here
+    for run, trials in ((lambda: estimate_qc(2.87, trials=7, base_seed=5), 7),
+                        (lambda: estimate_lambda_c(trials=9, base_seed=5), 9)):
+        _, builds = _builds_per_trial(run)
+        assert sum(len(built) for _, built in builds) == trials
+        assert all(built[0] < placed for placed, built in builds), builds
+
+
+def _assert_survivor_search_matches_full_graph(config: ExperimentConfig) -> Counter:
+    """Every trial's q* equals _critical_q of its whole graph; returns how
+    often each branch ran: a survivor hit, a miss and its fallback, or only
+    the full build (t0 <= 0)."""
+    q_star, trials = _builds_per_trial(lambda: _trial_critical_qs(config))
+    floored = config.lambdas[0] * config.radius**2 > experiments._SURVIVOR_DENSITY
+    rect = (0.0, 0.0, config.width, config.height)
+    branches = Counter()
+    for seed, q, (placed, built) in zip(trial_seeds(config, 0), q_star, trials):
+        graph = experiments._trial_graph(config, 0, seed)
+        assert q == _critical_q(graph, substream(seed, STREAM_FAILURES), rect), (seed, q)
+        if not floored:
+            branch = "full"
+            assert built == [placed]
+        elif len(built) == 1:
+            branch = "hit"
+            assert built[0] <= placed and q != -math.inf
+        else:
+            branch = "miss"
+            assert built[0] <= placed and built[1] == placed
+        branches[branch] += 1
+    return branches
+
+
+@given(
+    side=st.floats(3.0, 12.0),
+    lam=st.floats(0.5, 5.0),
+    base_seed=st.integers(0, 2**32),
+)
+def test_survivor_search_matches_full_graph_oracle(side, lam, base_seed):
+    _assert_survivor_search_matches_full_graph(_estimator_config(lam, side, 1.0, 4, base_seed))
+
+
+# (side, lambda, radius): small boxes, where survivors at t0 often miss; a
+# floored case at radius 1.2; lambda radius**2 at or below the survivor
+# density (t0 <= 0), down to lambda 0, which places no points
+BRANCH_CASES = ((3.0, 5.0, 1.0), (4.0, 3.0, 1.0), (12.0, 5.0, 1.0), (8.0, 1.5, 1.2),
+                (6.0, 1.2, 1.0), (6.0, 2.0, 0.8), (5.0, 0.0, 1.0))
+
+
+def test_survivor_search_takes_every_branch():
+    branches = Counter()
+    for side, lam, radius in BRANCH_CASES:
+        config = _estimator_config(lam, side, radius, 20, 1)
+        branches += _assert_survivor_search_matches_full_graph(config)
+    assert branches["hit"] and branches["miss"] and branches["full"], branches
 
 
 def test_evaluations_monotone_in_parameter():
