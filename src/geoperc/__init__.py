@@ -26,7 +26,6 @@ from .failures import (
     apply_failures,
     degree_margin_rule,
     parse_rule,
-    thinning_check,
 )
 from .geometry import OPEN_BOX, TORUS, PointSet, Region, generate_poisson, generate_uniform
 from .graph import ComponentLabeling, SpatialGraph, build_graph, components, crosses

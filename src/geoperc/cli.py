@@ -4,9 +4,9 @@ Every output document embeds the tool version, the effective parameters, and
 the seed, which is enough to re-run the command exactly. When --seed is
 omitted, ``main`` draws one seed from OS entropy and echoes it both to stderr
 and into the output metadata. ``generate``, ``fail`` and ``cascade --seed T``
-draw from the substreams of trial seed T, so they replay trial T. Documents
-are written through ``geoperc.io``: strict JSON to --out or stdout, and for
-sweeps CSV of the same records.
+draw through the same ``experiments`` functions as the trials, so they replay
+trial T. Documents are written through ``geoperc.io``: strict JSON to --out
+or stdout, and for sweeps CSV of the same records.
 """
 
 from __future__ import annotations
@@ -18,9 +18,18 @@ import sys
 
 from . import __version__
 from .cascade import parse_distribution, run_cascade
-from .experiments import estimate_lambda_c, estimate_qc, run_cascade_trials, run_sweep
-from .failures import apply_failures, parse_rule
-from .geometry import OPEN_BOX, Region, generate_poisson, generate_uniform
+from .experiments import (
+    draw_seed_node,
+    draw_thresholds,
+    estimate_lambda_c,
+    estimate_qc,
+    fail_nodes,
+    place_points,
+    run_cascade_trials,
+    run_sweep,
+)
+from .failures import parse_rule
+from .geometry import OPEN_BOX, Region
 from .graph import build_graph
 from .io import (
     config_from_dict,
@@ -31,14 +40,6 @@ from .io import (
     save_graph,
     to_csv,
     write_text,
-)
-from .seeding import (
-    STREAM_FAILURES,
-    STREAM_PLACEMENT,
-    STREAM_SEED_NODE,
-    STREAM_THRESHOLDS,
-    generator_from_seed,
-    substream,
 )
 from .theory import (
     LAMBDA_C,
@@ -79,12 +80,7 @@ def _cmd_generate(args) -> int:
     for flag, value in (("--n", args.n), ("--lambda", args.lam)):
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be non-negative, got {value}")
-    placement_seed = substream(args.seed, STREAM_PLACEMENT)
-    if args.n is not None:
-        points = generate_uniform(args.n, region, placement_seed)
-    else:
-        points = generate_poisson(args.lam, region, placement_seed)
-    graph = build_graph(points, args.radius)
+    graph = build_graph(place_points(args.seed, region, args.n, args.lam), args.radius)
     params = {
         "n": args.n, "lambda": args.lam, "width": args.width, "height": args.height,
         "boundary": args.boundary, "radius": args.radius,
@@ -100,7 +96,7 @@ def _cmd_generate(args) -> int:
 def _cmd_fail(args) -> int:
     graph = load_graph(args.graph)
     rule = parse_rule(args.rule)
-    outcome = apply_failures(graph, rule, substream(args.seed, STREAM_FAILURES))
+    outcome = fail_nodes(args.seed, graph, rule)
     params = {"graph": args.graph, "rule": args.rule}
     doc = _document(
         "fail", params, args.seed,
@@ -119,12 +115,10 @@ def _cmd_cascade(args) -> int:
     dist = parse_distribution(args.dist)
     if len(graph) == 0:
         raise ValueError("cannot run a cascade on an empty graph")
-    thresholds = dist.sample(len(graph), substream(args.seed, STREAM_THRESHOLDS))
-    if args.seed_node is not None:
-        seed_node = args.seed_node
-    else:
-        gen = generator_from_seed(substream(args.seed, STREAM_SEED_NODE))
-        seed_node = int(gen.integers(len(graph)))
+    thresholds = draw_thresholds(args.seed, dist, len(graph))
+    seed_node = args.seed_node
+    if seed_node is None:
+        seed_node = draw_seed_node(args.seed, len(graph))
     state = run_cascade(graph, thresholds, seed_node)
     params = {"graph": args.graph, "dist": args.dist, "seed_node": args.seed_node}
     doc = _document("cascade", params, args.seed, state.to_dict())

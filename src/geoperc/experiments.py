@@ -6,7 +6,12 @@ results are bit-reproducible. One trial loop places the points of each
 (lambda, trial); a sweep builds one graph from them, and a failure sweep
 applies every rule to it with the same failure uniforms, an exact coupling.
 Trials are reduced in (lambda, trial) order, so a parallel executor would
-produce the same output as this serial one.
+produce the same output as this serial one. Each per-trial draw comes from
+its own substream of the trial seed. The CLI's ``generate``, ``fail`` and
+``cascade --seed T`` replay trial T through the functions the trials call:
+``place_points``, ``fail_nodes``, ``draw_thresholds`` and ``draw_seed_node``.
+The crossing proxy is one event, a left-right crossing of the whole region
+(``graph.crosses``).
 
 The critical-point estimators build one graph per trial and reduce it to one
 critical value (Newman & Ziff, PRL 85, 4104 (2000)). Independent failure keeps
@@ -42,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cascade import ThresholdDistribution, classify, run_cascade
-from .failures import FailureRule, apply_failures
+from .failures import FailureOutcome, FailureRule, apply_failures
 from .geometry import OPEN_BOX, PointSet, Region, generate_poisson, generate_uniform
 from .graph import SpatialGraph, _neighbor_counts, build_graph, components, crosses, crossing_level
 from .seeding import (
@@ -151,18 +156,37 @@ class SweepResult:
     points: tuple[PointResult, ...]
 
 
-def _trial_points(config: ExperimentConfig, lam_index: int, trial_seed: int) -> PointSet:
-    region = config.region
+def place_points(trial_seed: int, region: Region, n: int | None, lam: float) -> PointSet:
+    """A trial's points, from its placement substream: n uniform points, or a
+    Poisson process of intensity lam when n is None."""
     placement_seed = substream(trial_seed, STREAM_PLACEMENT)
-    lam = config.lambdas[lam_index] if config.lambdas else 0.0
-    if config.count_mode == "fixed":
-        n = config.n if config.n is not None else round(lam * region.area)
+    if n is not None:
         return generate_uniform(n, region, placement_seed)
     return generate_poisson(lam, region, placement_seed)
 
 
-def _trial_graph(config: ExperimentConfig, lam_index: int, trial_seed: int) -> SpatialGraph:
-    return build_graph(_trial_points(config, lam_index, trial_seed), config.radius)
+def fail_nodes(trial_seed: int, graph: SpatialGraph, rule: FailureRule) -> FailureOutcome:
+    """A trial's failures under rule, from its failure substream; every rule
+    of a trial reads the same uniforms."""
+    return apply_failures(graph, rule, substream(trial_seed, STREAM_FAILURES))
+
+
+def draw_thresholds(trial_seed: int, distribution: ThresholdDistribution, n: int) -> np.ndarray:
+    """A trial's n cascade thresholds, from its threshold substream."""
+    return distribution.sample(n, substream(trial_seed, STREAM_THRESHOLDS))
+
+
+def draw_seed_node(trial_seed: int, count: int) -> int:
+    """A trial's cascade seed, an index below count, from its seed-node substream."""
+    return int(generator_from_seed(substream(trial_seed, STREAM_SEED_NODE)).integers(count))
+
+
+def _trial_points(config: ExperimentConfig, lam_index: int, trial_seed: int) -> PointSet:
+    lam = config.lambdas[lam_index] if config.lambdas else 0.0
+    n = None
+    if config.count_mode == "fixed":
+        n = config.n if config.n is not None else round(lam * config.region.area)
+    return place_points(trial_seed, config.region, n, lam)
 
 
 def trial_seeds(config: ExperimentConfig, lam_index: int) -> list[int]:
@@ -182,8 +206,7 @@ def _proxy_indicator(config: ExperimentConfig, graph: SpatialGraph, alive: np.nd
     if len(graph) == 0:
         return 0.0
     if config.proxy == "crossing":
-        rect = (0.0, 0.0, config.width, config.height)
-        return 1.0 if crosses(graph, alive, rect, "left-right") else 0.0
+        return 1.0 if crosses(graph, alive) else 0.0
     labeling = components(graph, alive)
     return 1.0 if labeling.largest_size >= config.giant_threshold * len(graph) else 0.0
 
@@ -198,10 +221,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     def indicators(seed: int, points: PointSet) -> list[float]:
         graph = build_graph(points, config.radius)
-        failure_seed = substream(seed, STREAM_FAILURES)
         return [
             _proxy_indicator(config, graph, np.ones(len(graph), dtype=bool) if rule is None
-                             else apply_failures(graph, rule, failure_seed).alive)
+                             else fail_nodes(seed, graph, rule).alive)
             for rule in rules
         ]
 
@@ -291,20 +313,6 @@ class BisectionResult:
         }
 
 
-def _critical_q(graph: SpatialGraph, failure_seed: int, rect) -> float:
-    """Largest q at which the survivors of IndependentFailure(q) still cross rect
-    left-right, or -inf when the intact graph does not cross.
-
-    apply_failures keeps node i iff u_i >= q, with u drawn from failure_seed, so
-    survivors only shrink as q grows: the graph crosses at q iff q <= q*. The
-    survivor set changes only at the u_i, so q* is the crossing level of the
-    weights u.
-    """
-    u = generator_from_seed(failure_seed).random(len(graph))
-    level = crossing_level(graph, u, rect, "left-right")
-    return -math.inf if level is None else level
-
-
 # Survivor density, in units of radius**-2, of the graph each estimator trial
 # searches first. On side-50 boxes the largest per-trial survivor density at
 # q* is 1.661 (300 qc trials at lambda 2.87, base seeds 11, 5 and 7) and the
@@ -314,10 +322,11 @@ _SURVIVOR_DENSITY = 1.25 * LAMBDA_C
 
 
 def _trial_critical_qs(config: ExperimentConfig) -> np.ndarray:
-    """q* of the trial graph at config.lambdas[0] per trial, in trial order:
-    the _critical_q of the whole graph, searched on the survivors at floor t0
-    first and on the whole graph only when those miss or t0 <= 0."""
-    rect = (0.0, 0.0, config.width, config.height)
+    """q* of the trial graph at config.lambdas[0] per trial, in trial order,
+    -inf when the intact graph does not cross. IndependentFailure(q) keeps
+    node i iff u_i >= q for the trial's failure uniforms u, so q* is the
+    crossing level of u on the whole graph; it is searched on the survivors
+    at floor t0 first and on the whole graph only when those miss or t0 <= 0."""
     radius = config.radius
     density = config.lambdas[0] * radius * radius
     floors = (-math.inf,)
@@ -329,7 +338,7 @@ def _trial_critical_qs(config: ExperimentConfig) -> np.ndarray:
         for floor in floors:
             kept = (u >= floor).nonzero()[0]
             graph = build_graph(PointSet(points.coordinates[kept], points.region), radius)
-            level = crossing_level(graph, u[kept], rect, "left-right")
+            level = crossing_level(graph, u[kept])
             if level is not None:
                 return level
         return -math.inf
@@ -417,23 +426,20 @@ def estimate_qc(
     radius: float = 1.0,
     trials: int = 100,
     base_seed: int = 0,
-    bracket: tuple[float, float] = (0.0, 1.0),
     target_width: float = 0.02,
 ) -> BisectionResult:
-    """Bisect the independent-failure probability at which crossing drops to 1/2.
+    """Bisect the independent-failure probability in [0, 1] at which crossing
+    drops to 1/2.
 
     Each trial builds one graph and crosses at q iff q <= its q*.
     """
     if lam <= LAMBDA_C:
         raise SubcriticalDensityError(f"lambda={lam} is not above the critical density {LAMBDA_C}")
-    lo, hi = bracket
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ValueError(f"bracket {bracket} is not an interval inside [0, 1]")
     if not target_width > 0:
         raise ValueError(f"target_width must be positive, got {target_width}")
     q_star = _trial_critical_qs(_estimator_config(lam, side, radius, trials, base_seed))
     low, high, evals = _bisect(
-        lambda q: float(np.mean(q <= q_star)), lo, hi, target_width, rising=False
+        lambda q: float(np.mean(q <= q_star)), 0.0, 1.0, target_width, rising=False
     )
     return BisectionResult(low, high, evals, trials, base_seed, tuple(q_star.tolist()))
 
@@ -471,13 +477,12 @@ def run_cascade_trial(
     if n == 0:
         return CascadeTrialRecord(trial_seed, False, None, 0.0, 0, 0.0, 0, 0.0, False)
 
-    psi = config.distribution.sample(n, substream(trial_seed, STREAM_THRESHOLDS))
+    psi = draw_thresholds(trial_seed, config.distribution, n)
     labeling = components(graph, classify(graph, psi).vulnerable)
     largest_vuln_fraction = labeling.largest_size / n
 
-    gen = generator_from_seed(substream(trial_seed, STREAM_SEED_NODE))
     if config.seeding == "random-node":
-        seed_node = int(gen.integers(n))
+        seed_node = draw_seed_node(trial_seed, n)
     else:
         if labeling.largest_size == 0:
             return CascadeTrialRecord(trial_seed, False, None, 0.0, 0, 0.0, 0, 0.0, False)
@@ -485,7 +490,7 @@ def run_cascade_trial(
         candidates = np.flatnonzero((_neighbor_counts(graph, in_comp) > 0) & ~in_comp)
         if candidates.size == 0:
             candidates = np.flatnonzero(in_comp)
-        seed_node = int(candidates[gen.integers(len(candidates))])
+        seed_node = int(candidates[draw_seed_node(trial_seed, len(candidates))])
 
     state = run_cascade(graph, psi, seed_node)
     failed_labeling = components(graph, state.failed)

@@ -176,10 +176,3 @@ def apply_failures(graph: SpatialGraph, rule: FailureRule, seed: int) -> Failure
     q = rule.probabilities(graph.degrees)
     alive = ~(uniforms < q)
     return FailureOutcome(alive)
-
-
-def thinning_check(graph: SpatialGraph, q: float, seed: int) -> float:
-    """Survivor density after independent thinning; should be (1-q) * lambda."""
-    _check_probability(q, "thinning probability")
-    outcome = apply_failures(graph, IndependentFailure(q), seed)
-    return float(outcome.alive.sum()) / graph.points.region.area

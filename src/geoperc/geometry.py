@@ -67,7 +67,8 @@ def _place(count: int, region: Region, gen: np.random.Generator) -> PointSet:
     """count points i.i.d. uniform over the region, drawn from gen."""
     try:
         unit = gen.random((count, 2))
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses a size past its address space with a ValueError
         raise MemoryError(f"cannot place {count} points: {exc}") from exc
     return PointSet(unit * np.array([region.width, region.height]), region)
 

@@ -24,10 +24,13 @@ Connectivity has one primitive, ``_component_roots``: given an edge list,
 every node gets the smallest node index of its component, by min-label hooking
 and pointer jumping (Shiloach & Vishkin, J. Algorithms 3, 1982). Component
 labels number the alive roots in node order, with no sort, as each root is the
-smallest node of its component; a crossing is a root shared by both edge
-strips. ``crossing_level`` finds the level at which weighted survivors stop
-crossing by a binary search that drops or contracts the nodes each step
-decides, so it labels a graph about once in all, not once per step.
+smallest node of its component. The finite-size percolation proxy is one
+event, a left-right crossing of the whole region: a component of alive nodes
+with a node strictly within radius of the left edge and one strictly within
+radius of the right edge, found as a root shared by both strips.
+``crossing_level`` finds the level at which weighted survivors stop crossing
+by a binary search that drops or contracts the nodes each step decides, so it
+labels a graph about once in all, not once per step.
 
 Hot filters compact through an index, not a boolean mask. With numpy 2.4 on
 a 2-core Xeon VM, ``x[mask]`` over 15k entries at half density takes about
@@ -233,28 +236,15 @@ def components(graph: SpatialGraph, alive) -> ComponentLabeling:
     return ComponentLabeling(labels, sizes.astype(np.int64), largest_id, largest_size)
 
 
-def _strips(graph: SpatialGraph, rect, direction: str):
-    """Masks of the nodes inside rect and of those in its start and end strips."""
+def _strips(graph: SpatialGraph):
+    """Masks of the nodes strictly within radius of the region's left edge
+    (0 < x < r) and of its right edge (0 < width - x < r)."""
     region = graph.points.region
     if region.boundary == TORUS:
         raise ValueError("crossing is undefined on a torus region")
-    x1, y1, x2, y2 = (float(c) for c in rect)
-    if not (0 <= x1 < x2 <= region.width and 0 <= y1 < y2 <= region.height):
-        raise ValueError(f"rect {rect} is not a proper rectangle inside the region")
-    if direction not in ("left-right", "top-bottom"):
-        raise ValueError(f"direction must be 'left-right' or 'top-bottom', got {direction!r}")
-
-    coords = graph.points.coordinates
-    x, y = coords[:, 0], coords[:, 1]
-    inside = (x >= x1) & (x <= x2) & (y >= y1) & (y <= y2)
-    if direction == "left-right":
-        c, lo, hi = x, x1, x2
-    else:
-        c, lo, hi = y, y1, y2
+    x = graph.points.coordinates[:, 0]
     r = graph.radius
-    start = inside & (c - lo > 0) & (c - lo < r)
-    end = inside & (hi - c > 0) & (hi - c < r)
-    return inside, start, end
+    return (x > 0) & (x < r), (region.width - x > 0) & (region.width - x < r)
 
 
 def _spanning_roots(roots: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -266,46 +256,41 @@ def _spanning_roots(roots: np.ndarray, start: np.ndarray, end: np.ndarray) -> np
     return has_start & has_end
 
 
-def crosses(graph: SpatialGraph, alive, rect, direction: str = "left-right") -> bool:
-    """Whether alive nodes inside rect form a crossing in the given direction.
+def crosses(graph: SpatialGraph, alive) -> bool:
+    """Whether the alive nodes cross the region left to right.
 
-    A left-right crossing is a connected sequence of alive nodes inside the
-    rectangle whose first node lies strictly within distance radius of the left
-    edge (0 < x - x1 < r) and whose last node lies strictly within radius of
-    the right edge (0 < x2 - x < r); top-bottom is the 90-degree rotation.
+    A crossing is a connected sequence of alive nodes whose first node lies
+    strictly within distance radius of the left edge (0 < x < r) and whose last
+    node lies strictly within radius of the right edge (0 < width - x < r).
     """
-    inside, start, end = _strips(graph, rect, direction)
+    start, end = _strips(graph)
     n = len(graph)
     alive = np.asarray(alive, dtype=bool)
     if alive.shape != (n,):
         raise ValueError(f"alive mask length {alive.shape} does not match node count {n}")
 
-    inside &= alive
     start &= alive
     end &= alive
     if not start.any() or not end.any():
         return False
-    roots = _component_roots(n, *_alive_edges(graph, inside))
+    roots = _component_roots(n, *_alive_edges(graph, alive))
     return bool(_spanning_roots(roots, start, end).any())
 
 
-def crossing_level(
-    graph: SpatialGraph, weights, rect, direction: str = "left-right"
-) -> float | None:
-    """Largest weight t whose survivors {weights >= t} cross rect in the given
-    direction (see ``crosses``), or None when no survivor set does.
+def crossing_level(graph: SpatialGraph, weights) -> float | None:
+    """Largest weight t whose survivors {weights >= t} cross the region left
+    to right (see ``crosses``), or None when no survivor set does.
 
     Survivors only shrink as t grows, so they cross at t iff t <= the returned
-    level. A binary search over the sorted weights of the inside nodes finds
-    it on a graph that shrinks at every step. Where the survivors at t cross,
-    a crossing at any higher level lies within one of their crossing
-    components, so every other node is dropped. Where they do not, each of
-    their components stays connected at every lower level, so it is
-    contracted to one node that carries its strip flags and the weight of its
-    smallest node, which is at least t. Each step labels only the edges
-    between the nodes left.
+    level. A binary search over the sorted weights finds it on a graph that
+    shrinks at every step. Where the survivors at t cross, a crossing at any
+    higher level lies within one of their crossing components, so every other
+    node is dropped. Where they do not, each of their components stays
+    connected at every lower level, so it is contracted to one node that
+    carries its strip flags and the weight of its smallest node, which is at
+    least t. Each step labels only the edges between the nodes left.
     """
-    inside, start, end = _strips(graph, rect, direction)
+    start, end = _strips(graph)
     n = len(graph)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (n,):
@@ -315,9 +300,8 @@ def crossing_level(
 
     # the reduced graph: node weights w, start and finish strip flags s and f,
     # edges (a, b)
-    index = np.cumsum(inside) - 1
-    a, b = (index[u] for u in _alive_edges(graph, inside))
-    w, s, f = weights[inside], start[inside], end[inside]
+    a, b = graph.edges.T
+    w, s, f = weights, start, end
     levels = np.sort(w)
     lo, hi = -1, len(levels)  # crosses at levels[lo] if lo >= 0; not at levels[hi]
     while hi - lo > 1:

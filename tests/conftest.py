@@ -1,9 +1,13 @@
+import math
+
 import hypothesis
 import numpy as np
 import pytest
 
+from geoperc import experiments
 from geoperc.geometry import Region, generate_uniform
-from geoperc.graph import build_graph
+from geoperc.graph import build_graph, crossing_level
+from geoperc.seeding import generator_from_seed
 
 hypothesis.settings.register_profile(
     "default", max_examples=25, deadline=None, derandomize=True
@@ -64,20 +68,17 @@ def bfs_component_sizes(graph, alive):
     return sorted(labels.count(c) for c in range(max(labels, default=-1) + 1))
 
 
-def bfs_crosses(graph, alive, rect, direction):
-    """Reference crossing test: breadth-first search over the alive nodes inside
-    rect, from the start strip to the end strip (both open, of width radius)."""
-    x1, y1, x2, y2 = rect
+def bfs_crosses(graph, alive):
+    """Reference crossing test: breadth-first search over the alive nodes from
+    the strip within radius of the region's left edge to the one within radius
+    of its right edge (both open)."""
+    width = graph.points.region.width
     r = graph.radius
-    inside, start, end = set(), set(), set()
-    for i, (x, y) in enumerate(graph.points.coordinates.tolist()):
-        if not (alive[i] and x1 <= x <= x2 and y1 <= y <= y2):
-            continue
-        inside.add(i)
-        c, lo, hi = (x, x1, x2) if direction == "left-right" else (y, y1, y2)
-        if 0 < c - lo < r:
+    start, end = set(), set()
+    for i, x in enumerate(graph.points.coordinates[:, 0].tolist()):
+        if alive[i] and 0 < x < r:
             start.add(i)
-        if 0 < hi - c < r:
+        if alive[i] and 0 < width - x < r:
             end.add(i)
     nbrs = neighbor_lists(graph)
     seen = set(start)
@@ -87,10 +88,29 @@ def bfs_crosses(graph, alive, rect, direction):
         if u in end:
             return True
         for v in nbrs[u]:
-            if v in inside and v not in seen:
+            if alive[v] and v not in seen:
                 seen.add(v)
                 queue.append(v)
     return False
+
+
+def trial_graph(config, lam_index, trial_seed):
+    """The whole graph of one harness trial, rebuilt from its trial seed."""
+    return build_graph(experiments._trial_points(config, lam_index, trial_seed), config.radius)
+
+
+def whole_graph_critical_q(graph, failure_seed):
+    """Largest q at which the survivors of IndependentFailure(q) still cross,
+    or -inf when the intact graph does not cross.
+
+    apply_failures keeps node i iff u_i >= q, with u drawn from failure_seed, so
+    survivors only shrink as q grows: the graph crosses at q iff q <= q*. The
+    survivor set changes only at the u_i, so q* is the crossing level of the
+    weights u.
+    """
+    u = generator_from_seed(failure_seed).random(len(graph))
+    level = crossing_level(graph, u)
+    return -math.inf if level is None else level
 
 
 @pytest.fixture(scope="session")

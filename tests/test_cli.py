@@ -18,7 +18,6 @@ from geoperc.experiments import (
     BisectionResult,
     CascadeTrialRecord,
     ExperimentConfig,
-    _trial_graph,
     run_cascade_trials,
 )
 from geoperc.failures import apply_failures, parse_rule
@@ -35,6 +34,7 @@ from geoperc.geometry import Region, generate_uniform
 from geoperc.graph import build_graph
 from geoperc.seeding import STREAM_FAILURES, substream
 
+from conftest import trial_graph
 from test_acceptance import HEAVY_LOW, NEAR_ONE
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -351,6 +351,9 @@ def test_cascade_condition_largest_normal_poisson_mean_evaluates(capsys):
         (["--lambda", "-1"], r"error: --lambda must be non-negative, got -1\.0$"),
         # about 2.25e17 points: numpy refuses the 3 EiB array before touching memory
         (["--lambda", "1e15"], r"error: out of memory: cannot place \d{18} points: "),
+        # past numpy's size limit: refused with a ValueError, not a MemoryError
+        (["--n", "1000000000000000000"],
+         r"error: out of memory: cannot place 1000000000000000000 points: "),
     ],
 )
 def test_generate_bad_point_count_is_one_error_line(capsys, argv, pattern):
@@ -514,7 +517,7 @@ def test_cli_commands_replay_a_harness_trial(tmp_path, capsys):
         seed = str(record.trial_seed)
         run_cli(capsys, "generate", "--n", "300", "--width", "12", "--height", "12",
                 "--seed", seed, "--out", path)
-        graph = _trial_graph(config, 0, record.trial_seed)
+        graph = trial_graph(config, 0, record.trial_seed)
         assert np.array_equal(load_graph(path).edges, graph.edges)
         code, out, _ = run_cli(capsys, "cascade", "--graph", path,
                                "--dist", distribution_to_text(HEAVY_LOW), "--seed", seed)
@@ -666,6 +669,21 @@ def test_json_is_read_and_written_only_in_io():
                 uses.append((path.name, "from json import", node.lineno))
     assert [use for use in uses if use[0] != "io.py"] == []
     assert [name for _, name, _ in uses].count("json.dumps") == 1
+
+
+def test_stream_layout_is_named_only_in_experiments_and_seeding():
+    """Which substream feeds which per-trial draw is decided once: no other
+    module names a STREAM_* constant, so the replay commands cannot drift from
+    the harness."""
+    uses = []
+    for path in sorted((REPO / "src" / "geoperc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            if any(name and name.startswith("STREAM_") for name in names):
+                uses.append((path.name, node.lineno))
+    assert {name for name, _ in uses} == {"experiments.py", "seeding.py"}, uses
 
 
 def test_entropy_seed_echoed(tmp_path, capsys):

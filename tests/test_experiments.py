@@ -18,7 +18,6 @@ from geoperc.failures import (
 from geoperc.experiments import (
     BisectionResult,
     ExperimentConfig,
-    _critical_q,
     _estimator_config,
     _median_ci_rank,
     _proxy_indicator,
@@ -34,6 +33,8 @@ from geoperc.graph import build_graph, crosses
 from geoperc.io import SchemaError, config_from_dict, config_to_dict
 from geoperc.seeding import STREAM_FAILURES, STREAM_PLACEMENT, derive_seed, substream
 from geoperc.theory import SubcriticalDensityError
+
+from conftest import trial_graph, whole_graph_critical_q
 
 HEAVY_LOW = ThresholdDistribution(((0.0, 0.1, 7.5), (0.1, 1.0, 5 / 18)))
 ABOVE_HALF = ThresholdDistribution(((0.0, 0.5, 0.0), (0.5, 1.0, 2.0)))
@@ -283,8 +284,6 @@ def test_estimate_lambda_c_validates_inputs():
 def test_estimate_qc_validates_inputs():
     with pytest.raises(SubcriticalDensityError):
         estimate_qc(1.0)
-    with pytest.raises(ValueError):
-        estimate_qc(2.0, bracket=(0.5, 0.2))
 
 
 def test_finite_size_scaling_shrinks_bias():
@@ -299,15 +298,13 @@ def test_finite_size_scaling_shrinks_bias():
 
 
 def _assert_critical_q_matches_crosses(graph, seed):
-    region = graph.points.region
-    rect = (0.0, 0.0, region.width, region.height)
-    q_star = _critical_q(graph, seed, rect)
+    q_star = whole_graph_critical_q(graph, seed)
     grid = list(np.linspace(0.0, 1.0, 9))
     if math.isfinite(q_star):
         grid += [q_star, float(np.nextafter(q_star, 1.0))]
     for q in grid:
         alive = apply_failures(graph, IndependentFailure(q), seed).alive
-        assert (q <= q_star) == crosses(graph, alive, rect, "left-right"), (q, q_star)
+        assert (q <= q_star) == crosses(graph, alive), (q, q_star)
     return q_star
 
 
@@ -341,15 +338,14 @@ def test_critical_q_labels_each_graph_about_once(monkeypatch):
     component_roots = graph_module._component_roots
     monkeypatch.setattr(graph_module, "_component_roots", counting_component_roots)
     side = 30.0
-    rect = (0.0, 0.0, side, side)
     for seed in (1, 2, 3, 4):
         graph = build_graph(generate_poisson(2.87, Region(side, side), seed), 1.0)
         handed.clear()
-        q_star = _critical_q(graph, seed, rect)
+        q_star = whole_graph_critical_q(graph, seed)
         assert sum(handed) <= 1.5 * graph.edge_count, (seed, sum(handed), graph.edge_count)
         for q, expected in ((q_star, True), (float(np.nextafter(q_star, 1.0)), False)):
             alive = apply_failures(graph, IndependentFailure(q), seed).alive
-            assert crosses(graph, alive, rect, "left-right") is expected
+            assert crosses(graph, alive) is expected
 
 
 def _builds_per_trial(run):
@@ -385,16 +381,15 @@ def test_estimators_build_one_graph_per_trial():
 
 
 def _assert_survivor_search_matches_full_graph(config: ExperimentConfig) -> Counter:
-    """Every trial's q* equals _critical_q of its whole graph; returns how
+    """Every trial's q* equals the critical q of its whole graph; returns how
     often each branch ran: a survivor hit, a miss and its fallback, or only
     the full build (t0 <= 0)."""
     q_star, trials = _builds_per_trial(lambda: _trial_critical_qs(config))
     floored = config.lambdas[0] * config.radius**2 > experiments._SURVIVOR_DENSITY
-    rect = (0.0, 0.0, config.width, config.height)
     branches = Counter()
     for seed, q, (placed, built) in zip(trial_seeds(config, 0), q_star, trials):
-        graph = experiments._trial_graph(config, 0, seed)
-        assert q == _critical_q(graph, substream(seed, STREAM_FAILURES), rect), (seed, q)
+        graph = trial_graph(config, 0, seed)
+        assert q == whole_graph_critical_q(graph, substream(seed, STREAM_FAILURES)), (seed, q)
         if not floored:
             branch = "full"
             assert built == [placed]
@@ -445,7 +440,6 @@ def test_estimators_replay_trials_from_their_seeds():
     # every evaluation equals the mean of direct crossings of each trial's
     # graph, rebuilt from derive_seed(base_seed, 0, t, trials)
     side = 50.0
-    rect = (0.0, 0.0, side, side)
     for result, lam_graph, to_q in (
         (estimate_qc(2.87, trials=8, base_seed=11), 2.87, lambda q: q),
         (estimate_lambda_c(trials=8, base_seed=2024), 2.0, lambda lam: 1.0 - lam / 2.0),
@@ -458,7 +452,7 @@ def test_estimators_replay_trials_from_their_seeds():
             for i, (x, _) in enumerate(result.evaluations):
                 rule = IndependentFailure(to_q(x))
                 alive = apply_failures(graph, rule, substream(seed, STREAM_FAILURES)).alive
-                hits[i] += crosses(graph, alive, rect, "left-right")
+                hits[i] += crosses(graph, alive)
         assert [p for _, p in result.evaluations] == list(hits / result.trials)
 
 

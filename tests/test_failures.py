@@ -9,7 +9,6 @@ from geoperc.failures import (
     apply_failures,
     degree_margin_rule,
     parse_rule,
-    thinning_check,
 )
 from geoperc.geometry import Region, TORUS, generate_poisson, generate_uniform
 from geoperc.graph import build_graph, crosses, crossing_level
@@ -126,6 +125,12 @@ def test_monotone_coupling(box_graph, seed, qs, bumps):
     assert not (alive_high & ~alive_low).any()
 
 
+def thinning_check(graph, q, seed):
+    """Survivor density after independent thinning; should be (1-q) * lambda."""
+    outcome = apply_failures(graph, IndependentFailure(q), seed)
+    return float(outcome.alive.sum()) / graph.points.region.area
+
+
 def test_thinning_extremes(box_graph):
     assert thinning_check(box_graph, 1.0, seed=5) == 0.0
     full = thinning_check(box_graph, 0.0, seed=5)
@@ -173,13 +178,12 @@ def test_smallest_crossing_attack_threshold_exceeds_critical_phi(lam):
     # whose survivors still cross. The paper's attack result: no threshold at
     # or below critical_phi(lam) leaves a percolating network.
     side = 25.0
-    rect = (0.0, 0.0, side, side)
     for seed in range(10):
         graph = build_graph(generate_poisson(lam, Region(side, side), seed), 1.0)
-        level = crossing_level(graph, -graph.degrees, rect)
+        level = crossing_level(graph, -graph.degrees)
         assert level is not None, seed
         phi_star = int(-level)
         assert phi_star > critical_phi(lam), (seed, phi_star)
         for phi, expected in ((phi_star, True), (phi_star - 1, False)):
             alive = apply_failures(graph, ThresholdAttack(phi), seed).alive
-            assert crosses(graph, alive, rect) is expected, (seed, phi)
+            assert crosses(graph, alive) is expected, (seed, phi)

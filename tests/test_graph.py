@@ -266,13 +266,8 @@ def test_components_mask_length_checked(medium_graph):
 )
 def test_crosses_match_bfs_oracle(seed, lam, side, survival):
     g = build_graph(generate_poisson(lam, Region(side, side), seed=seed), 1.0)
-    rng = np.random.default_rng(seed)
-    alive = rng.random(len(g)) < survival
-    (x1, x2), (y1, y2) = np.sort(rng.uniform(0.0, side, (2, 2)), axis=1)
-    for rect in ((0.0, 0.0, side, side), (x1, y1, x2, y2)):
-        for direction in ("left-right", "top-bottom"):
-            expected = bfs_crosses(g, alive, rect, direction)
-            assert crosses(g, alive, rect, direction) is expected
+    alive = np.random.default_rng(seed).random(len(g)) < survival
+    assert crosses(g, alive) is bfs_crosses(g, alive)
 
 
 def test_crosses_degenerate_graphs_match_bfs_oracle():
@@ -280,22 +275,22 @@ def test_crosses_degenerate_graphs_match_bfs_oracle():
     # a 5x5 lattice of spacing 2 has no edges at radius 1
     lattice = _graph_from_coords([[x, y] for x in range(1, 10, 2) for y in range(1, 10, 2)])
     assert lattice.edge_count == 0
-    rects = ((0, 0, 10, 10), (0.5, 0.5, 1.5, 9.5), (2.5, 0, 3.5, 10), (0, 4.2, 10, 5.8))
-    for g in (empty, lattice):
+    # isolated nodes each within radius of both edges of a narrow region
+    column = _graph_from_coords([[0.75, y] for y in range(1, 10, 2)], width=1.5)
+    assert column.edge_count == 0
+    for g, expected in ((empty, False), (lattice, False), (column, True)):
         alive = np.ones(len(g), bool)
-        for rect in rects:
-            for direction in ("left-right", "top-bottom"):
-                assert crosses(g, alive, rect, direction) is bfs_crosses(g, alive, rect, direction)
+        assert crosses(g, alive) is bfs_crosses(g, alive) is expected
 
 
-def _assert_crossing_level_matches_bfs(g, weights, rect, direction):
-    level = crossing_level(g, weights, rect, direction)
+def _assert_crossing_level_matches_bfs(g, weights):
+    level = crossing_level(g, weights)
     assert level is None or level in weights
     grid = [-np.inf, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, np.inf]
     if level is not None:
         grid += [level, np.nextafter(level, np.inf)]
     for t in grid:
-        expected = bfs_crosses(g, weights >= t, rect, direction)
+        expected = bfs_crosses(g, weights >= t)
         assert (level is not None and t <= level) == expected, (t, level)
     return level
 
@@ -316,10 +311,7 @@ def test_crossing_level_matches_bfs_oracle(seed, lam, side, tied):
         rng.choice([-np.inf, 0.25, 0.5, 0.75, np.inf], len(g)),
         rng.random(len(g)),
     )
-    (x1, x2), (y1, y2) = np.sort(rng.uniform(0.0, side, (2, 2)), axis=1)
-    for rect in ((0.0, 0.0, side, side), (x1, y1, x2, y2)):
-        for direction in ("left-right", "top-bottom"):
-            _assert_crossing_level_matches_bfs(g, weights, rect, direction)
+    _assert_crossing_level_matches_bfs(g, weights)
 
 
 def test_crossing_level_degenerate_graphs():
@@ -327,26 +319,24 @@ def test_crossing_level_degenerate_graphs():
     lattice = _graph_from_coords([[x, y] for x in range(1, 10, 2) for y in range(1, 10, 2)])
     weights = np.random.default_rng(5).random(len(lattice))
     for g, w in ((empty, np.empty(0)), (lattice, weights)):
-        for direction in ("left-right", "top-bottom"):
-            assert _assert_crossing_level_matches_bfs(g, w, (0, 0, 10, 10), direction) is None
-    # one node within radius of both edges of a narrow rectangle
-    single = _graph_from_coords([[1.0, 5.0]], width=1.5)
+        assert _assert_crossing_level_matches_bfs(g, w) is None
+    # one node within radius of both edges of a narrow region
+    single = _graph_from_coords([[0.5, 5.0]], width=1.0)
     for w in (0.3, np.inf, -np.inf):
-        rect = (0.5, 0, 1.5, 10)
-        assert _assert_crossing_level_matches_bfs(single, np.array([w]), rect, "left-right") == w
+        assert _assert_crossing_level_matches_bfs(single, np.array([w])) == w
 
 
 def test_crossing_level_rejects_bad_input():
     g = _graph_from_coords([[1.0, 1.0], [1.5, 1.0]])
     with pytest.raises(ValueError, match="NaN"):
-        crossing_level(g, np.array([0.5, np.nan]), (0, 0, 10, 10))
+        crossing_level(g, np.array([0.5, np.nan]))
     with pytest.raises(ValueError, match="length"):
-        crossing_level(g, np.zeros(3), (0, 0, 10, 10))
+        crossing_level(g, np.zeros(3))
 
 
 def test_crosses_empty_graph():
     g = _graph_from_coords(np.empty((0, 2)))
-    assert crosses(g, np.zeros(0, bool), (0, 0, 10, 10)) is False
+    assert crosses(g, np.zeros(0, bool)) is False
 
 
 def test_crosses_chain():
@@ -354,52 +344,32 @@ def test_crosses_chain():
     coords = [[x, 5.0] for x in xs]
     g = _graph_from_coords(coords)
     alive = np.ones(len(coords), bool)
-    assert crosses(g, alive, (0, 0, 10, 10), "left-right") is True
-    # same chain does not cross top to bottom
-    assert crosses(g, alive, (0, 0, 10, 10), "top-bottom") is False
+    assert crosses(g, alive) is True
     # killing a middle node breaks the crossing
     alive[4] = False
-    assert crosses(g, alive, (0, 0, 10, 10), "left-right") is False
+    assert crosses(g, alive) is False
 
 
 def test_crosses_requires_strict_edge_clearance():
-    # chain start exactly on the left edge fails 0 < x - x1, and the next node
-    # sits at distance exactly r from the edge, failing x - x1 < r
+    # chain start exactly on the left edge fails 0 < x, and the next node
+    # sits at distance exactly r from the edge, failing x < r
     coords = [[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]]
     g = _graph_from_coords(coords, width=2.5)
     alive = np.ones(3, bool)
-    assert crosses(g, alive, (0, 0, 2.5, 10), "left-right") is False
+    assert crosses(g, alive) is False
     # nudging the chain strictly inside restores the crossing
     coords = [[0.05, 5.0], [0.95, 5.0], [1.85, 5.0]]
     g = _graph_from_coords(coords, width=2.5)
-    assert crosses(g, alive, (0, 0, 2.5, 10), "left-right") is True
+    assert crosses(g, alive) is True
 
 
 def test_crosses_single_node_wide_enough():
-    # one node within radius of both edges of a narrow rectangle
-    g = _graph_from_coords([[1.0, 5.0]], width=1.5)
-    assert crosses(g, np.ones(1, bool), (0.5, 0, 1.5, 10), "left-right") is True
+    # one node within radius of both edges of a narrow region
+    g = _graph_from_coords([[0.5, 5.0]], width=1.0)
+    assert crosses(g, np.ones(1, bool)) is True
 
 
 def test_crosses_rejects_torus():
     g = _graph_from_coords([[1.0, 1.0]], boundary=TORUS)
     with pytest.raises(ValueError):
-        crosses(g, np.ones(1, bool), (0, 0, 10, 10))
-
-
-def test_crosses_rejects_bad_rect():
-    g = _graph_from_coords([[1.0, 1.0]])
-    with pytest.raises(ValueError):
-        crosses(g, np.ones(1, bool), (0, 0, 11, 10))
-    with pytest.raises(ValueError):
-        crosses(g, np.ones(1, bool), (5, 0, 5, 10))
-
-
-def test_crosses_subrectangle():
-    # a, c sit near the rect edges; b is the only connector
-    coords = [[2.7, 5.0], [3.25, 5.7], [3.8, 5.0]]
-    g = _graph_from_coords(coords)
-    alive = np.ones(3, bool)
-    assert crosses(g, alive, (2.5, 4.0, 4.0, 6.0), "left-right") is True
-    # shrinking the rect pushes b outside; the remaining nodes are not adjacent
-    assert crosses(g, alive, (2.5, 4.0, 4.0, 5.5), "left-right") is False
+        crosses(g, np.ones(1, bool))
