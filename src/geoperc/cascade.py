@@ -4,7 +4,8 @@ Each node i carries an i.i.d. threshold psi_i in (0, 1) and fails once the
 fraction of its ORIGINAL neighbors that have failed reaches psi_i (>=, so a
 vulnerable node with psi <= 1/k is triggered by a single failed neighbor).
 Failures propagate in synchronous rounds from a single seed node; the dynamic
-is monotone, so the final failed set is schedule-independent.
+is monotone, so the final failed set is schedule-independent, and psi_i > 0, so
+it is connected: every failed node but the seed has an earlier-failed neighbor.
 """
 
 from __future__ import annotations
@@ -128,19 +129,16 @@ class NodeClassification:
 
     vulnerable: np.ndarray
     reliable: np.ndarray
-    isolated_reliable: np.ndarray
 
     def __post_init__(self):
-        for name in ("vulnerable", "reliable", "isolated_reliable"):
-            getattr(self, name).setflags(write=False)
+        self.vulnerable.setflags(write=False)
+        self.reliable.setflags(write=False)
 
 
 def classify(graph: SpatialGraph, thresholds: np.ndarray) -> NodeClassification:
     """Label nodes against their ORIGINAL degrees.
 
     vulnerable: k >= 1 and psi <= 1/k. reliable: k == 0 or psi > (k-1)/k.
-    isolated reliable: reliable, at least one neighbor, and every neighbor
-    unreliable (not reliable).
     """
     n = len(graph)
     psi = np.asarray(thresholds, dtype=np.float64)
@@ -150,8 +148,7 @@ def classify(graph: SpatialGraph, thresholds: np.ndarray) -> NodeClassification:
     safe_k = np.maximum(k, 1)
     vulnerable = (k >= 1) & (psi <= 1.0 / safe_k)
     reliable = (k == 0) | (psi > (k - 1) / safe_k)
-    isolated_reliable = reliable & (k >= 1) & (_neighbor_counts(graph, reliable) == 0)
-    return NodeClassification(vulnerable, reliable, isolated_reliable)
+    return NodeClassification(vulnerable, reliable)
 
 
 @dataclass(frozen=True)
@@ -213,11 +210,16 @@ def run_cascade(graph: SpatialGraph, thresholds: np.ndarray, seed_node: int) -> 
     return CascadeState(psi, failed, tuple(rounds), seed_node)
 
 
+def isolated_reliable(graph: SpatialGraph, thresholds: np.ndarray) -> np.ndarray:
+    """Mask of the reliable nodes with at least one neighbor, none reliable."""
+    reliable = classify(graph, thresholds).reliable
+    return reliable & (graph.degrees >= 1) & (_neighbor_counts(graph, reliable) == 0)
+
+
 def isolated_reliable_count_check(graph: SpatialGraph, thresholds: np.ndarray) -> int:
     """Maximum over nodes of the number of isolated-reliable neighbors.
 
     Geometry caps this at 6: two neighbors in the same 60-degree sector of a
     node are themselves adjacent, and adjacent reliable nodes are not isolated.
     """
-    iso = classify(graph, thresholds).isolated_reliable
-    return int(_neighbor_counts(graph, iso).max(initial=0))
+    return int(_neighbor_counts(graph, isolated_reliable(graph, thresholds)).max(initial=0))

@@ -11,7 +11,8 @@ its own substream of the trial seed. The CLI's ``generate``, ``fail`` and
 ``cascade --seed T`` replay trial T through the functions the trials call:
 ``place_points``, ``fail_nodes``, ``draw_thresholds`` and ``draw_seed_node``.
 The crossing proxy is one event, a left-right crossing of the whole region
-(``graph.crosses``).
+(``graph.crosses``). A cascade trial labels its vulnerable nodes and nothing
+else: its failed set is one connected cluster that holds the seed.
 
 The critical-point estimators build one graph per trial and reduce it to one
 critical value (Newman & Ziff, PRL 85, 4104 (2000)). Independent failure keeps
@@ -410,6 +411,8 @@ def estimate_lambda_c(
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"bracket {bracket} is not an interval")
+    if not hi > 0:
+        raise ValueError(f"bracket {bracket} must have a positive upper end")
     if not target_width > 0:
         raise ValueError(f"target_width must be positive, got {target_width}")
     q_star = _trial_critical_qs(_estimator_config(hi, side, radius, trials, base_seed))
@@ -446,6 +449,9 @@ def estimate_qc(
 
 @dataclass(frozen=True)
 class CascadeTrialRecord:
+    """One cascade trial. Thresholds are positive, so the failed nodes form one
+    connected component, which contains seed_node (see geoperc.cascade)."""
+
     trial_seed: int
     feasible: bool
     seed_node: int | None
@@ -453,8 +459,6 @@ class CascadeTrialRecord:
     failed_count: int
     failed_fraction: float
     rounds: int
-    largest_failed_fraction: float
-    seed_in_largest_failed: bool
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -474,18 +478,18 @@ def run_cascade_trial(
     if config.distribution is None:
         raise ValueError("cascade trials need a threshold distribution")
     n = len(graph)
+    infeasible = CascadeTrialRecord(trial_seed, False, None, 0.0, 0, 0.0, 0)
     if n == 0:
-        return CascadeTrialRecord(trial_seed, False, None, 0.0, 0, 0.0, 0, 0.0, False)
+        return infeasible
 
     psi = draw_thresholds(trial_seed, config.distribution, n)
     labeling = components(graph, classify(graph, psi).vulnerable)
-    largest_vuln_fraction = labeling.largest_size / n
 
     if config.seeding == "random-node":
         seed_node = draw_seed_node(trial_seed, n)
     else:
         if labeling.largest_size == 0:
-            return CascadeTrialRecord(trial_seed, False, None, 0.0, 0, 0.0, 0, 0.0, False)
+            return infeasible
         in_comp = labeling.labels == labeling.largest_id
         candidates = np.flatnonzero((_neighbor_counts(graph, in_comp) > 0) & ~in_comp)
         if candidates.size == 0:
@@ -493,22 +497,14 @@ def run_cascade_trial(
         seed_node = int(candidates[draw_seed_node(trial_seed, len(candidates))])
 
     state = run_cascade(graph, psi, seed_node)
-    failed_labeling = components(graph, state.failed)
-    largest_failed_fraction = failed_labeling.largest_size / n
-    seed_in_largest = bool(
-        failed_labeling.largest_size > 0
-        and failed_labeling.labels[seed_node] == failed_labeling.largest_id
-    )
     return CascadeTrialRecord(
         trial_seed=trial_seed,
         feasible=True,
         seed_node=seed_node,
-        largest_vulnerable_fraction=largest_vuln_fraction,
+        largest_vulnerable_fraction=labeling.largest_size / n,
         failed_count=state.failed_count,
         failed_fraction=state.failed_count / n,
         rounds=len(state.rounds),
-        largest_failed_fraction=largest_failed_fraction,
-        seed_in_largest_failed=seed_in_largest,
     )
 
 

@@ -8,6 +8,7 @@ from geoperc.cascade import (
     ThresholdDistribution,
     classify,
     distribution_to_text,
+    isolated_reliable,
     isolated_reliable_count_check,
     parse_distribution,
     run_cascade,
@@ -17,7 +18,7 @@ from geoperc.geometry import PointSet, Region, generate_uniform
 from geoperc.graph import build_graph, components
 from geoperc.theory import reliable_probabilities
 
-from conftest import neighbor_lists
+from conftest import bfs_component_sizes, neighbor_lists
 
 UNIFORM = ThresholdDistribution.uniform()
 HEAVY_LOW = ThresholdDistribution(((0.0, 0.1, 7.5), (0.1, 1.0, 5 / 18)))
@@ -129,7 +130,7 @@ class TestClassify:
         assert cls.vulnerable.tolist() == [True, True, False, True]
         assert cls.reliable.tolist() == [True, False, True, True]
         # node 0's only neighbor is unreliable; nodes 2 and 3 touch a reliable node
-        assert cls.isolated_reliable.tolist() == [True, False, False, False]
+        assert isolated_reliable(g, psi).tolist() == [True, False, False, False]
 
     def test_degree_three_quarter_threshold_vulnerable(self):
         # hub with three satellites: 0.25 <= 1/3 makes the hub vulnerable
@@ -291,6 +292,9 @@ class TestRunCascade:
         psi = HEAVY_LOW.sample(len(g), seed + 7)
         sync = run_cascade(g, psi, seed_node).failed
         assert np.array_equal(sync, async_cascade_oracle(g, psi, seed_node))
+        # thresholds are positive, so the failed set is one component holding the seed
+        assert sync[seed_node]
+        assert bfs_component_sizes(g, sync) == [int(sync.sum())]
 
 
 class TestVulnerableComponents:
@@ -332,9 +336,9 @@ class TestIsolatedReliable:
         assert (off_diag > 1.0).all()
         # hub unreliable (psi <= 4/5), satellites reliable by degree 1
         psi = np.array([0.5, 0.9, 0.9, 0.9, 0.9, 0.9])
-        cls = classify(g, psi)
-        assert cls.isolated_reliable[1:].all()
-        assert not cls.isolated_reliable[0]
+        iso = isolated_reliable(g, psi)
+        assert iso[1:].all()
+        assert not iso[0]
         assert isolated_reliable_count_check(g, psi) == 5
 
     def test_bound_on_random_instances(self):

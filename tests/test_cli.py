@@ -365,6 +365,16 @@ def test_generate_bad_point_count_is_one_error_line(capsys, argv, pattern):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("low, high", [("-1", "0"), ("-2", "-1")])
+def test_estimate_lambda_c_non_positive_bracket_is_one_error_line(capsys, low, high):
+    code, out, err = run_cli(capsys, "estimate", "lambda-c", "--bracket-low", low,
+                             "--bracket-high", high, "--seed", "1", "--trials", "2")
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: bracket ({float(low)}, {float(high)}) "
+                   "must have a positive upper end\n"), err
+
+
 def test_generate_then_fail_attack(tmp_path, capsys):
     graph_path = str(tmp_path / "g.json")
     code, out, _ = run_cli(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from geoperc import cascade as cascade_module
 from geoperc import experiments
 from geoperc import graph as graph_module
 from geoperc.cascade import ThresholdDistribution
@@ -276,6 +277,9 @@ def test_estimate_lambda_c_validates_inputs():
         estimate_lambda_c(side=20.0)
     with pytest.raises(ValueError):
         estimate_lambda_c(bracket=(2.0, 1.0))
+    for bracket in ((-1.0, 0.0), (-2.0, -1.0)):
+        with pytest.raises(ValueError, match=r"bracket .* must have a positive upper end"):
+            estimate_lambda_c(trials=2, base_seed=1, bracket=bracket)
     with pytest.raises(ValueError):
         # both endpoints deep in the supercritical phase cannot bracket
         estimate_lambda_c(side=50.0, trials=10, base_seed=1, bracket=(2.5, 3.0))
@@ -542,19 +546,30 @@ def test_cascade_trials_deterministic():
     assert run_cascade_trials(cfg) == run_cascade_trials(cfg)
 
 
-def test_cascade_trial_reports_largest_failed_component():
-    cfg = ExperimentConfig(
-        kind="cascade-trial",
-        width=15.0,
-        height=15.0,
-        n=400,
-        count_mode="fixed",
-        distribution=HEAVY_LOW,
-        trials=6,
-        base_seed=41,
-    )
-    for rec in run_cascade_trials(cfg):
-        assert 0.0 <= rec.largest_failed_fraction <= rec.failed_fraction
-        assert rec.rounds >= 1
-        if rec.failed_count == 1:
-            assert rec.largest_failed_fraction == pytest.approx(1 / 400)
+def test_cascade_trials_label_once_per_trial(monkeypatch):
+    # the failed set is connected, so a trial labels only its vulnerable nodes;
+    # the cascade module counts neighbors once per round and never for classify
+    labeled, counted = [], []
+
+    def counting_components(graph, alive):
+        labeled.append(len(graph))
+        return components(graph, alive)
+
+    def counting_neighbor_counts(graph, mask):
+        counted.append(len(graph))
+        return neighbor_counts(graph, mask)
+
+    components = experiments.components
+    neighbor_counts = cascade_module._neighbor_counts
+    monkeypatch.setattr(experiments, "components", counting_components)
+    monkeypatch.setattr(cascade_module, "_neighbor_counts", counting_neighbor_counts)
+    for seeding in experiments.SEEDINGS:
+        labeled.clear()
+        counted.clear()
+        records = run_cascade_trials(ExperimentConfig(
+            kind="cascade-trial", width=15.0, height=15.0, n=400, count_mode="fixed",
+            distribution=HEAVY_LOW, seeding=seeding, trials=6, base_seed=41,
+        ))
+        assert all(rec.feasible for rec in records)
+        assert len(labeled) == len(records), (seeding, len(labeled))
+        assert len(counted) == sum(rec.rounds for rec in records), (seeding, len(counted))
