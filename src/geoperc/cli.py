@@ -144,8 +144,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_theory(args) -> int:
     sub = args.theory_command
     if sub == "critical-q":
-        doc = {"condition": "critical-q", "lambda": args.lam, "lambda_c": args.lambda_c,
-               "q_c": critical_q(args.lam, args.lambda_c)}
+        doc = {"condition": "critical-q", "lambda": args.lam, "lambda_c": LAMBDA_C,
+               "q_c": critical_q(args.lam)}
     elif sub == "critical-phi":
         value = critical_phi(args.lam)
         doc = {"condition": "critical-phi", "lambda": args.lam,
@@ -185,6 +185,8 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if not args.width > 0:
+        raise ValueError(f"--width must be positive, got {args.width}")
     if args.estimate_command == "lambda-c":
         result = estimate_lambda_c(
             side=args.side, radius=args.radius, trials=args.trials, base_seed=args.seed,
@@ -254,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         tp = tsub.add_parser(name)
         if name != "circuit-bound":
             tp.add_argument("--lambda", dest="lam", type=float, required=True)
-        if name == "critical-q":
-            tp.add_argument("--lambda-c", dest="lambda_c", type=float, default=LAMBDA_C)
         if name == "failure-condition":
             tp.add_argument("--rule", required=True)
         if name == "cascade-condition":
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 _FLOAT_FLAGS = {
     "lam": "--lambda", "side": "--side", "radius": "--radius", "width": "--width",
     "height": "--height", "bracket_low": "--bracket-low", "bracket_high": "--bracket-high",
-    "d": "--d", "lambda_c": "--lambda-c", "tolerance": "--tolerance",
+    "d": "--d", "tolerance": "--tolerance",
 }
 
 

@@ -1,9 +1,11 @@
 """Monte Carlo harness: parameter sweeps, critical-point estimation, cascade trials.
 
-Every trial draws its seed as splitmix64(splitmix64(base_seed) + lam_index *
-trials + trial), so per-trial seeds are pairwise distinct within a sweep and
-results are bit-reproducible. One trial loop places the points of each
-(lambda, trial); a sweep builds one graph from them, and a failure sweep
+``READS`` names the fields each config kind reads, and every other field must
+keep its default. Every trial draws its seed as splitmix64(splitmix64(base_seed)
++ lam_index * trials + trial), so per-trial seeds are pairwise distinct within
+a sweep and results are bit-reproducible. One trial loop places the points of
+each (lambda, trial), a Poisson process at lambda, or n uniform points when a
+cascade trial gives n; a sweep builds one graph from them, and a failure sweep
 applies every rule to it with the same failure uniforms, an exact coupling.
 Trials are reduced in (lambda, trial) order, so a parallel executor would
 produce the same output as this serial one. Each per-trial draw comes from
@@ -42,7 +44,7 @@ at lam 2.87 and 90% at lam_max 2.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +68,15 @@ KINDS = ("percolation-sweep", "failure-sweep", "cascade-trial")
 PROXIES = ("crossing", "giant-fraction")
 SEEDINGS = ("random-node", "adjacent-to-largest-vulnerable-component")
 COUNT_MODES = ("poisson", "fixed")
+
+# The fields each kind reads; a sweep also reads giant_threshold with the
+# giant-fraction proxy. Every other field must keep its default.
+_COMMON_FIELDS = ("kind", "width", "height", "boundary", "radius", "trials", "base_seed")
+READS = {
+    "percolation-sweep": _COMMON_FIELDS + ("lambdas", "proxy"),
+    "failure-sweep": _COMMON_FIELDS + ("lambdas", "proxy", "rules"),
+    "cascade-trial": _COMMON_FIELDS + ("lambdas", "distribution", "seeding", "count_mode", "n"),
+}
 
 
 @dataclass(frozen=True)
@@ -112,35 +123,28 @@ class ExperimentConfig:
             raise ValueError(f"seeding must be one of {SEEDINGS}, got {self.seeding!r}")
         if self.count_mode not in COUNT_MODES:
             raise ValueError(f"count_mode must be one of {COUNT_MODES}, got {self.count_mode!r}")
-        if self.n is not None:
-            if self.count_mode != "fixed":
-                raise ValueError(f"n is used only with count_mode 'fixed', got n={self.n} "
-                                 f"with count_mode {self.count_mode!r}")
-            if self.n < 0:
-                raise ValueError(f"n must be non-negative, got {self.n}")
-            # with a grid, each lambda sets its own point count
-            if self.lambdas:
-                raise ValueError(f"n is used only without lambdas, got n={self.n} "
-                                 f"with lambdas={list(self.lambdas)}")
-        if self.rules and self.kind != "failure-sweep":
-            raise ValueError(f"rules are used only with kind 'failure-sweep', got rules="
-                             f"{[r.to_text() for r in self.rules]} with kind {self.kind!r}")
-        if self.distribution is not None and self.kind != "cascade-trial":
-            raise ValueError("distribution is used only with kind 'cascade-trial', "
-                             f"got kind {self.kind!r}")
-        if self.kind in ("percolation-sweep", "failure-sweep") and not self.lambdas:
+        if self.n is not None and self.n < 0:
+            raise ValueError(f"n must be non-negative, got {self.n}")
+        if self.kind != "cascade-trial" and not self.lambdas:
             raise ValueError(f"{self.kind} needs a non-empty lambda grid")
         if self.kind == "failure-sweep" and not self.rules:
             raise ValueError("failure-sweep needs a non-empty rule grid")
         if self.kind == "cascade-trial":
             if self.distribution is None:
                 raise ValueError("cascade-trial needs a threshold distribution")
-            if not self.lambdas and self.n is None:
-                raise ValueError("cascade-trial needs a lambda value, or count_mode 'fixed' "
-                                 "with an explicit n")
-            if len(self.lambdas) > 1:
-                raise ValueError("cascade-trial runs at one lambda, got lambdas="
-                                 f"{list(self.lambdas)}")
+            if len(self.lambdas) + (self.n is not None) != 1:
+                raise ValueError("cascade-trial takes one lambda or an n, got lambdas="
+                                 f"{list(self.lambdas)} and n={self.n}")
+        reads = READS[self.kind] + (("giant_threshold",) if self.proxy == "giant-fraction" else ())
+        for f in fields(self):
+            if f.init and f.name not in reads and getattr(self, f.name) not in (f.default, (), []):
+                mode = f" with proxy {self.proxy!r}" if f.name == "giant_threshold" else ""
+                raise ValueError(f"{f.name} is not read by kind {self.kind!r}{mode}")
+        if (self.count_mode == "fixed") != (self.n is not None):
+            raise ValueError("count_mode is 'fixed' exactly when n is given, got count_mode "
+                             f"{self.count_mode!r} with n={self.n}")
+        if "proxy" in reads and self.proxy == "crossing" and self.boundary != OPEN_BOX:
+            raise ValueError(f"proxy 'crossing' needs boundary 'open-box', got {self.boundary!r}")
 
 
 @dataclass(frozen=True)
@@ -184,10 +188,7 @@ def draw_seed_node(trial_seed: int, count: int) -> int:
 
 def _trial_points(config: ExperimentConfig, lam_index: int, trial_seed: int) -> PointSet:
     lam = config.lambdas[lam_index] if config.lambdas else 0.0
-    n = None
-    if config.count_mode == "fixed":
-        n = config.n if config.n is not None else round(lam * config.region.area)
-    return place_points(trial_seed, config.region, n, lam)
+    return place_points(trial_seed, config.region, config.n, lam)
 
 
 def trial_seeds(config: ExperimentConfig, lam_index: int) -> list[int]:
@@ -218,7 +219,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     lambda share its trial graphs and failure uniforms."""
     if config.kind not in ("percolation-sweep", "failure-sweep"):
         raise ValueError(f"run_sweep does not handle kind {config.kind!r}")
-    rules = config.rules if config.kind == "failure-sweep" else (None,)
+    rules = config.rules or (None,)  # a percolation sweep has no rules
 
     def indicators(seed: int, points: PointSet) -> list[float]:
         graph = build_graph(points, config.radius)
@@ -475,8 +476,6 @@ def run_cascade_trial(
     of the component when no such node exists); if there are no vulnerable
     nodes at all, the trial is recorded as infeasible rather than failed.
     """
-    if config.distribution is None:
-        raise ValueError("cascade trials need a threshold distribution")
     n = len(graph)
     infeasible = CascadeTrialRecord(trial_seed, False, None, 0.0, 0, 0.0, 0)
     if n == 0:

@@ -4,7 +4,7 @@ Every document passes through this module: ``dump_json`` is the one JSON
 writer and rejects NaN and infinities, ``write_text`` the one output path (a
 file, or stdout), ``load_json`` the one reader. Both input documents, graph
 files and experiment configs, are read field by field through one set of
-readers (``_typed``, ``_number``, ``_integer_field``, ``_reject_unknown_keys``),
+readers (``_typed``, ``_number``, ``_integer``, ``_reject_unknown_keys``),
 so a violation raises ``SchemaError`` naming the field. Graph files store only
 region, radius, and points; adjacency is recomputed on load so files stay O(n)
 and can never go stale. ``to_csv`` writes the same flat records a JSON
@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 from .cascade import distribution_to_text, parse_distribution
 from .experiments import ExperimentConfig
@@ -55,9 +55,8 @@ def _number(value, name: str) -> float:
         return math.inf
 
 
-def _integer_field(doc: dict, name: str, default: int | None) -> int | None:
-    """doc[name] as an int; NaN, infinities and non-integral values fail by name."""
-    value = doc.get(name, default)
+def _integer(value, name: str) -> int | None:
+    """A JSON integer (or null) as an int; NaN, infinities and non-integral values fail by name."""
     if value is None or isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float) and value.is_integer():
@@ -104,55 +103,58 @@ def graph_from_dict(doc: dict) -> SpatialGraph:
     return graph
 
 
+def _tuple_of(read):
+    def read_list(value, name: str) -> tuple:
+        items = _typed(value, name, list, "a list")
+        return tuple(read(item, f"{name}[{i}]") for i, item in enumerate(items))
+    return read_list
+
+
+def _distribution(value, name: str):
+    return None if value is None else parse_distribution(_typed(value, name, str, "a string"))
+
+
+def _as_is(value, name: str | None = None):
+    return value
+
+
+# Per config field: its reader from JSON and its writer to JSON; any other field is
+# stored as is, and ExperimentConfig checks it.
+_FIELD_READERS = {
+    "width": _number, "height": _number, "radius": _number, "giant_threshold": _number,
+    "trials": _integer, "base_seed": _integer, "n": _integer,
+    "lambdas": _tuple_of(_number),
+    "rules": _tuple_of(lambda text, name: parse_rule(_typed(text, name, str, "a string"))),
+    "distribution": _distribution,
+}
+_FIELD_WRITERS = {
+    "lambdas": list,
+    "rules": lambda rules: [r.to_text() for r in rules],
+    "distribution": lambda dist: None if dist is None else distribution_to_text(dist),
+}
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "kind": config.kind,
-        "region": {key: getattr(config, key) for key in _REGION_KEYS},
-        "radius": config.radius,
-        "lambdas": list(config.lambdas),
-        "rules": [r.to_text() for r in config.rules],
-        "distribution": None
-        if config.distribution is None
-        else distribution_to_text(config.distribution),
-        "seeding": config.seeding,
-        "trials": config.trials,
-        "base_seed": config.base_seed,
-        "proxy": config.proxy,
-        "giant_threshold": config.giant_threshold,
-        "count_mode": config.count_mode,
-        "n": config.n,
-    }
+    """kind, the region's sides nested under "region", then the other fields in order."""
+    doc = {f.name: _FIELD_WRITERS.get(f.name, _as_is)(getattr(config, f.name))
+           for f in fields(config) if f.init}
+    region = {key: doc.pop(key) for key in _REGION_KEYS}
+    return {"kind": doc.pop("kind"), "region": region, **doc}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    """The fields a document gives, and the required ones: ExperimentConfig holds the defaults."""
     _typed(doc, "experiment config", dict, "a JSON object")
     # the keys config_to_dict writes: the fields, with the region's sides nested under "region"
     known = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _REGION_KEYS)
     _reject_unknown_keys(doc, known, "config")
     region = _typed(doc.get("region", {}), "region", dict, "an object")
     _reject_unknown_keys(region, _REGION_KEYS, "region")
-    lambdas = _typed(doc.get("lambdas", []), "lambdas", list, "a list")
-    rules = _typed(doc.get("rules", []), "rules", list, "a list")
-    dist = doc.get("distribution")
-    return ExperimentConfig(
-        kind=doc.get("kind", ""),
-        width=_number(region.get("width"), "width"),
-        height=_number(region.get("height"), "height"),
-        boundary=region.get("boundary", OPEN_BOX),
-        radius=_number(doc.get("radius", 1.0), "radius"),
-        lambdas=tuple(_number(v, f"lambdas[{i}]") for i, v in enumerate(lambdas)),
-        rules=tuple(parse_rule(_typed(t, f"rules[{i}]", str, "a string"))
-                    for i, t in enumerate(rules)),
-        distribution=None if dist is None
-        else parse_distribution(_typed(dist, "distribution", str, "a string")),
-        seeding=doc.get("seeding", "random-node"),
-        trials=_integer_field(doc, "trials", 100),
-        base_seed=_integer_field(doc, "base_seed", 0),
-        proxy=doc.get("proxy", "crossing"),
-        giant_threshold=_number(doc.get("giant_threshold", 0.1), "giant_threshold"),
-        count_mode=doc.get("count_mode", "poisson"),
-        n=_integer_field(doc, "n", None),
-    )
+    given = {**doc, **region}
+    return ExperimentConfig(**{
+        f.name: _FIELD_READERS.get(f.name, _as_is)(given.get(f.name), f.name)
+        for f in fields(ExperimentConfig) if f.init and (f.name in given or f.default is MISSING)
+    })
 
 
 def dump_json(doc, indent: int | None = None) -> str:

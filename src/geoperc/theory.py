@@ -1,13 +1,12 @@
 """Closed-form percolation and cascade conditions.
 
 The critical density is one constant, ``LAMBDA_C``, and the critical mean
-degree is ``MU_C = pi LAMBDA_C``; only ``critical_q`` takes another value (the
-CLI's ``--lambda-c``). All series are Poisson-weighted sums truncated once the
-remaining Poisson tail mass drops below the tolerance; every summand is bounded
-by its Poisson weight (probabilities are <= 1), so the truncation error is
-below the tolerance. Condition evaluators return the raw left-hand value
-together with the decision threshold so sweeps can plot margins, never just
-the boolean.
+degree is ``MU_C = pi LAMBDA_C``. All series are Poisson-weighted sums
+truncated once the remaining Poisson tail mass drops below the tolerance; every
+summand is bounded by its Poisson weight (probabilities are <= 1), so the
+truncation error is below the tolerance. Condition evaluators return the raw
+left-hand value together with the decision threshold so sweeps can plot
+margins, never just the boolean.
 """
 
 from __future__ import annotations
@@ -51,20 +50,19 @@ class ConditionResult:
     relation: str  # ">" or ">=" or "<"
 
 
-def critical_q(lam: float, lambda_c: float = LAMBDA_C) -> float:
-    """Critical independent-failure probability 1 - lambda_c / lambda.
+def critical_q(lam: float) -> float:
+    """Critical independent-failure probability 1 - LAMBDA_C / lambda.
 
-    Defined for lam >= lambda_c (zero exactly at the critical density);
+    Defined for lam >= LAMBDA_C (zero exactly at the critical density);
     subcritical densities have no percolation to destroy.
     """
-    _require_positive(lambda_c, "critical density")
     _require_positive(lam)
-    if lam < lambda_c:
+    if lam < LAMBDA_C:
         raise SubcriticalDensityError(
-            f"lambda={lam} is below the critical density {lambda_c}; "
+            f"lambda={lam} is below the critical density {LAMBDA_C}; "
             "q_c is undefined in the subcritical phase"
         )
-    return 1.0 - lambda_c / lam
+    return 1.0 - LAMBDA_C / lam
 
 
 def _poisson_pmf(mean: float, tol: float) -> np.ndarray:

@@ -71,7 +71,7 @@ def test_non_finite_output_is_an_error_not_nan_json(capsys):
         ("--bracket-high", ["estimate", "lambda-c", "--bracket-high", "inf", "--trials", "2"]),
         ("--lambda", ["estimate", "qc", "--lambda", "nan", "--trials", "2"]),
         ("--lambda", ["theory", "critical-q", "--lambda", "1e400"]),
-        ("--lambda-c", ["theory", "critical-q", "--lambda", "2", "--lambda-c", "nan"]),
+        ("--width", ["estimate", "qc", "--lambda", "2.87", "--width", "nan", "--trials", "2"]),
         ("--d", ["theory", "block-cap", "--lambda", "2", "--d", "nan"]),
         ("--width", ["generate", "--n", "5", "--width", "inf", "--height", "5", "--seed", "1"]),
         ("--height", ["generate", "--n", "5", "--width", "5", "--height", "nan", "--seed", "1"]),
@@ -191,18 +191,37 @@ def test_sweep_config_bad_integer_field_rejected_by_name(tmp_path, capsys, field
 
 @pytest.mark.parametrize(
     "extra, message",
-    [({"n": 400}, "n is used only with count_mode 'fixed', got n=400"),
+    [({"n": 400}, "n is not read by kind 'percolation-sweep'"),
      ({"trails": 3}, "unknown config key(s) ['trails']"),
      ({"region": {"width": 15, "height": 15, "boundry": "torus"}},
       "unknown region key(s) ['boundry']"),
-     ({"rules": ["indep:0.9"]},
-      "rules are used only with kind 'failure-sweep', got rules=['indep:0.9']"),
+     ({"rules": ["indep:0.9"]}, "rules is not read by kind 'percolation-sweep'"),
      ({"distribution": "pieces:0,1,1"},
-      "distribution is used only with kind 'cascade-trial', got kind 'percolation-sweep'"),
+      "distribution is not read by kind 'percolation-sweep'"),
      ({"kind": "failure-sweep", "rules": ["indep:0.3"], "distribution": "pieces:0,1,1"},
-      "distribution is used only with kind 'cascade-trial'")],
+      "distribution is not read by kind 'failure-sweep'"),
+     ({"seeding": "adjacent-to-largest-vulnerable-component"},
+      "seeding is not read by kind 'percolation-sweep'"),
+     ({"kind": "failure-sweep", "rules": ["indep:0.3"],
+       "seeding": "adjacent-to-largest-vulnerable-component"},
+      "seeding is not read by kind 'failure-sweep'"),
+     ({"kind": "cascade-trial", "distribution": "pieces:0,1,1", "proxy": "giant-fraction"},
+      "proxy is not read by kind 'cascade-trial'"),
+     ({"kind": "cascade-trial", "distribution": "pieces:0,1,1", "giant_threshold": 0.5},
+      "giant_threshold is not read by kind 'cascade-trial'"),
+     ({"giant_threshold": 0.5},
+      "giant_threshold is not read by kind 'percolation-sweep' with proxy 'crossing'"),
+     ({"count_mode": "fixed"}, "count_mode is not read by kind 'percolation-sweep'"),
+     ({"kind": "cascade-trial", "distribution": "pieces:0,1,1", "count_mode": "fixed"},
+      "count_mode is 'fixed' exactly when n is given, got count_mode 'fixed' with n=None"),
+     ({"region": {"width": 15, "height": 15, "boundary": "torus"}},
+      "proxy 'crossing' needs boundary 'open-box', got 'torus'")],
     ids=["n-with-poisson-count", "unknown-key", "unknown-region-key", "rules-on-percolation",
-         "distribution-on-percolation", "distribution-on-failure-sweep"],
+         "distribution-on-percolation", "distribution-on-failure-sweep",
+         "seeding-on-percolation", "seeding-on-failure-sweep",
+         "proxy-on-cascade-trial", "giant-threshold-on-cascade-trial",
+         "giant-threshold-with-crossing", "fixed-count-sweep", "fixed-count-without-n",
+         "crossing-on-torus"],
 )
 def test_sweep_config_ignored_field_rejected_by_name(tmp_path, capsys, extra, message):
     config = {"kind": "percolation-sweep", "region": {"width": 15, "height": 15},
@@ -214,6 +233,7 @@ def test_sweep_config_ignored_field_rejected_by_name(tmp_path, capsys, extra, me
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {message}"), err
+    assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
@@ -225,9 +245,9 @@ def test_sweep_config_ignored_field_rejected_by_name(tmp_path, capsys, extra, me
      ({"giant_threshold": 0}, "giant_threshold must be in (0, 1], got 0.0"),
      ({"giant_threshold": 7, "lambdas": [3.0]}, "giant_threshold must be in (0, 1], got 7.0"),
      ({"kind": "cascade-trial", "distribution": "pieces:0,1,1", "lambdas": [2.0, 7.0]},
-      "cascade-trial runs at one lambda, got lambdas=[2.0, 7.0]"),
+      "cascade-trial takes one lambda or an n, got lambdas=[2.0, 7.0] and n=None"),
      ({"count_mode": "fixed", "n": 300, "lambdas": [0.5, 3.0]},
-      "n is used only without lambdas, got n=300 with lambdas=[0.5, 3.0]"),
+      "count_mode is not read by kind 'percolation-sweep'"),
      ({"radius": -1}, "radius must be positive, got -1.0"),
      ({"radius": 0}, "radius must be positive, got 0.0"),
      ({"kind": "cascade-trial", "distribution": "pieces:0,1,1", "lambdas": [],
@@ -375,6 +395,18 @@ def test_estimate_lambda_c_non_positive_bracket_is_one_error_line(capsys, low, h
                    "must have a positive upper end\n"), err
 
 
+@pytest.mark.parametrize(
+    "argv, width",
+    [(["lambda-c", "--width", "0"], "0.0"), (["qc", "--lambda", "2.87", "--width", "-1"], "-1.0")],
+)
+def test_estimate_non_positive_width_is_one_error_line(capsys, argv, width):
+    # named by the flag, before any trial runs
+    code, out, err = run_cli(capsys, "estimate", *argv, "--trials", "2", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --width must be positive, got {width}\n", err
+
+
 def test_generate_then_fail_attack(tmp_path, capsys):
     graph_path = str(tmp_path / "g.json")
     code, out, _ = run_cli(
@@ -483,7 +515,7 @@ _THEORY_ARGS = {
     [("critical-q", "--frobnicate")]
     + [(sub, "--tolerance -1")
        for sub in ("critical-q", "critical-phi", "block-cap", "circuit-bound")]
-    + [(sub, "--lambda-c 99") for sub in _THEORY_ARGS if sub != "critical-q"],
+    + [(sub, "--lambda-c 99") for sub in _THEORY_ARGS],
 )
 def test_unknown_flag_rejected(capsys, sub, flag):
     with pytest.raises(SystemExit) as exc:

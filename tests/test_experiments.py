@@ -1,4 +1,5 @@
 import math
+import pathlib
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import geoperc.io
 from geoperc import cascade as cascade_module
 from geoperc import experiments
 from geoperc import graph as graph_module
@@ -31,7 +33,7 @@ from geoperc.experiments import (
 )
 from geoperc.geometry import Region, generate_poisson, generate_uniform
 from geoperc.graph import build_graph, crosses
-from geoperc.io import SchemaError, config_from_dict, config_to_dict
+from geoperc.io import SchemaError, config_from_dict, config_to_dict, load_json
 from geoperc.seeding import STREAM_FAILURES, STREAM_PLACEMENT, derive_seed, substream
 from geoperc.theory import SubcriticalDensityError
 
@@ -80,6 +82,17 @@ def test_config_round_trip():
     assert cfg2.n == 100
     assert cfg2.distribution is not None
     assert config_from_dict(config_to_dict(cfg2)) == cfg2
+    examples = sorted((pathlib.Path(__file__).resolve().parents[1] / "examples").glob("*.json"))
+    assert len(examples) == 2
+    for cfg3 in (
+        ExperimentConfig(kind="percolation-sweep", width=12.0, height=9.0, boundary="torus",
+                         radius=1.5, lambdas=(0.5, 3.0), trials=3, base_seed=4,
+                         proxy="giant-fraction", giant_threshold=0.25),
+        ExperimentConfig(kind="cascade-trial", width=15.0, height=15.0, lambdas=(7.0,),
+                         distribution=HEAVY_LOW, seeding="adjacent-to-largest-vulnerable-component"),
+        *(config_from_dict(load_json(str(path))) for path in examples),
+    ):
+        assert config_from_dict(config_to_dict(cfg3)) == cfg3
     with pytest.raises(ValueError):
         config_from_dict({"kind": "failure-sweep", "region": {"width": 10, "height": 10}})
     with pytest.raises(SchemaError, match="experiment config must be a JSON object"):
@@ -88,14 +101,46 @@ def test_config_round_trip():
 
 def test_config_rejects_n_outside_fixed_count_mode():
     # n sets the point count only in fixed mode; a Poisson config would drop it
-    with pytest.raises(ValueError, match="n is used only with count_mode 'fixed', got n=1600"):
+    with pytest.raises(ValueError, match="count_mode is 'fixed' exactly when n is given, got "
+                                         "count_mode 'poisson' with n=1600"):
         ExperimentConfig(kind="cascade-trial", width=15.0, height=15.0, n=1600,
                          distribution=HEAVY_LOW)
-    with pytest.raises(ValueError, match="n is used only with count_mode 'fixed'"):
+    with pytest.raises(ValueError, match="n is not read by kind 'percolation-sweep'"):
         ExperimentConfig(kind="percolation-sweep", width=15.0, height=15.0, lambdas=(2.0,), n=400)
-    with pytest.raises(ValueError, match="needs a lambda value, or count_mode 'fixed' with an "):
+    with pytest.raises(ValueError, match=r"takes one lambda or an n, got lambdas=\[\] and n=None"):
         ExperimentConfig(kind="cascade-trial", width=15.0, height=15.0, count_mode="fixed",
                          distribution=HEAVY_LOW)
+
+
+# Per kind, the fields a minimal config document gives beyond kind and region,
+# and the same fields as ExperimentConfig arguments.
+_MINIMAL_CONFIGS = {
+    "percolation-sweep": ({"lambdas": [2.0]}, {"lambdas": (2.0,)}),
+    "failure-sweep": ({"lambdas": [2.0], "rules": ["indep:0.3"]},
+                      {"lambdas": (2.0,), "rules": (IndependentFailure(0.3),)}),
+    "cascade-trial": ({"n": 100, "count_mode": "fixed", "distribution": "pieces:0,1,1"},
+                      {"n": 100, "count_mode": "fixed",
+                       "distribution": ThresholdDistribution(((0.0, 1.0, 1.0),))}),
+}
+
+
+@pytest.mark.parametrize("kind", experiments.KINDS)
+def test_config_defaults_live_only_in_the_dataclass(kind):
+    given, arguments = _MINIMAL_CONFIGS[kind]
+    passed = []
+
+    class Recording(ExperimentConfig):
+        def __new__(cls, **kwargs):
+            passed.append(set(kwargs))
+            return super().__new__(cls)
+
+    doc = {"kind": kind, "region": {"width": 15, "height": 15}, **given}
+    expected = ExperimentConfig(kind=kind, width=15.0, height=15.0, **arguments)
+    assert config_from_dict(doc) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geoperc.io, "ExperimentConfig", Recording)
+        config_from_dict(doc)
+    assert passed == [{"kind", "width", "height", *given}]
 
 
 def test_config_from_dict_rejects_unknown_keys():
