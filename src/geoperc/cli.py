@@ -6,12 +6,16 @@ omitted, ``main`` draws one seed from OS entropy and echoes it both to stderr
 and into the output metadata. ``generate``, ``fail`` and ``cascade --seed T``
 draw through the same ``experiments`` functions as the trials, so they replay
 trial T. Documents are written through ``geoperc.io``: strict JSON to --out
-or stdout, and for sweeps CSV of the same records.
+or stdout, and for sweeps CSV of the same records. A flag that several
+subcommands take is declared once, in ``_FLAGS``, and ``_THEORY`` gives each
+theory subcommand its flags and body. A non-finite value of any float option
+is rejected, named by its flag, before any work is done.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -141,70 +145,104 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _theory_critical_q(args) -> dict:
+    return {"condition": "critical-q", "lambda": args.lam, "lambda_c": LAMBDA_C,
+            "q_c": critical_q(args.lam)}
+
+
+def _theory_critical_phi(args) -> dict:
+    value = critical_phi(args.lam)
+    return {"condition": "critical-phi", "lambda": args.lam,
+            "phi": "unbounded" if math.isinf(value) else int(value)}
+
+
+def _theory_failure_condition(args) -> dict:
+    rule = parse_rule(args.rule)
+    if rule.is_nondecreasing():
+        res = no_infinite_component_nondecreasing(args.lam, rule, args.tolerance)
+        name = "no-infinite-component-nondecreasing"
+    elif rule.is_nonincreasing():
+        res = no_infinite_component_nonincreasing(args.lam, rule, args.tolerance)
+        name = "no-infinite-component-nonincreasing"
+    else:
+        raise ValueError(f"rule {args.rule!r} is neither non-decreasing nor non-increasing")
+    return {"condition": name, "lambda": args.lam, "rule": args.rule, "lhs": res.lhs,
+            "threshold": res.threshold, "relation": res.relation, "holds": res.holds}
+
+
+def _theory_cascade_condition(args) -> dict:
+    res = no_cascade_condition(args.lam, parse_distribution(args.dist), args.tolerance)
+    return {"condition": "no-cascade", "lambda": args.lam, "dist": args.dist, "lhs": res.lhs,
+            "threshold": res.threshold, "relation": res.relation, "holds": res.holds}
+
+
+def _theory_block_cap(args) -> dict:
+    return {"condition": "block-cap", "lambda": args.lam, "d": args.d,
+            "cap": block_count_cap(args.lam, args.d)}
+
+
+def _theory_circuit_bound(args) -> dict:
+    # the bound has ~0.95 m digits; Python prints at most 4300 by default
+    if args.m > 4000:
+        raise ValueError(f"--m must be at most 4000, got {args.m}")
+    return {"condition": "circuit-bound", "m": args.m, "bound": circuit_count_bound(args.m)}
+
+
+# theory subcommand -> (its flags before --out, the function building its body)
+_THEORY = {
+    "critical-q": (("--lambda",), _theory_critical_q),
+    "critical-phi": (("--lambda",), _theory_critical_phi),
+    "failure-condition": (("--lambda", "--rule", "--tolerance"), _theory_failure_condition),
+    "cascade-condition": (("--lambda", "--dist", "--tolerance"), _theory_cascade_condition),
+    "block-cap": (("--lambda", "--d"), _theory_block_cap),
+    "circuit-bound": (("--m",), _theory_circuit_bound),
+}
+
+
 def _cmd_theory(args) -> int:
     sub = args.theory_command
-    if sub == "critical-q":
-        doc = {"condition": "critical-q", "lambda": args.lam, "lambda_c": LAMBDA_C,
-               "q_c": critical_q(args.lam)}
-    elif sub == "critical-phi":
-        value = critical_phi(args.lam)
-        doc = {"condition": "critical-phi", "lambda": args.lam,
-               "phi": "unbounded" if math.isinf(value) else int(value)}
-    elif sub == "failure-condition":
-        rule = parse_rule(args.rule)
-        if rule.is_nondecreasing():
-            res = no_infinite_component_nondecreasing(args.lam, rule, args.tolerance)
-            name = "no-infinite-component-nondecreasing"
-        elif rule.is_nonincreasing():
-            res = no_infinite_component_nonincreasing(args.lam, rule, args.tolerance)
-            name = "no-infinite-component-nonincreasing"
-        else:
-            raise ValueError(f"rule {args.rule!r} is neither non-decreasing nor non-increasing")
-        doc = {"condition": name, "lambda": args.lam, "rule": args.rule,
-               "lhs": res.lhs, "threshold": res.threshold, "relation": res.relation,
-               "holds": res.holds}
-    elif sub == "cascade-condition":
-        dist = parse_distribution(args.dist)
-        res = no_cascade_condition(args.lam, dist, args.tolerance)
-        doc = {"condition": "no-cascade", "lambda": args.lam, "dist": args.dist,
-               "lhs": res.lhs, "threshold": res.threshold, "relation": res.relation,
-               "holds": res.holds}
-    elif sub == "block-cap":
-        doc = {"condition": "block-cap", "lambda": args.lam, "d": args.d,
-               "cap": block_count_cap(args.lam, args.d)}
-    elif sub == "circuit-bound":
-        # the bound has ~0.95 m digits; Python prints at most 4300 by default
-        if args.m > 4000:
-            raise ValueError(f"--m must be at most 4000, got {args.m}")
-        doc = {"condition": "circuit-bound", "m": args.m,
-               "bound": circuit_count_bound(args.m)}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown theory subcommand {sub!r}")
-    _emit(_document("theory", {"subcommand": sub}, None, doc), args.out)
+    body = _THEORY[sub][1](args)
+    _emit(_document("theory", {"subcommand": sub}, None, body), args.out)
     return 0
 
 
 def _cmd_estimate(args) -> int:
     if not args.width > 0:
         raise ValueError(f"--width must be positive, got {args.width}")
+    shared = {"side": args.side, "radius": args.radius, "trials": args.trials}
     if args.estimate_command == "lambda-c":
-        result = estimate_lambda_c(
-            side=args.side, radius=args.radius, trials=args.trials, base_seed=args.seed,
-            bracket=(args.bracket_low, args.bracket_high), target_width=args.width,
-        )
-        params = {"side": args.side, "radius": args.radius, "trials": args.trials,
-                  "bracket": [args.bracket_low, args.bracket_high], "width": args.width}
-        doc = _document("estimate lambda-c", params, args.seed, result.to_dict())
+        bracket = (args.bracket_low, args.bracket_high)
+        estimate = functools.partial(estimate_lambda_c, bracket=bracket)
+        params = {**shared, "bracket": list(bracket)}
     else:
-        result = estimate_qc(
-            args.lam, side=args.side, radius=args.radius, trials=args.trials,
-            base_seed=args.seed, target_width=args.width,
-        )
-        params = {"lambda": args.lam, "side": args.side, "radius": args.radius,
-                  "trials": args.trials, "width": args.width}
-        doc = _document("estimate qc", params, args.seed, result.to_dict())
+        estimate = functools.partial(estimate_qc, args.lam)
+        params = {"lambda": args.lam, **shared}
+    result = estimate(**shared, base_seed=args.seed, target_width=args.width)
+    params["width"] = args.width
+    doc = _document(f"estimate {args.estimate_command}", params, args.seed, result.to_dict())
     _emit(doc, args.out)
     return 0
+
+
+# Shared and theory flags -> add_argument keywords; a caller may override one.
+_FLAGS = {
+    "--lambda": dict(dest="lam", type=float, required=True),
+    "--side": dict(type=float, default=50.0),
+    "--radius": dict(type=float, default=1.0),
+    "--width": dict(type=float, default=0.02),
+    "--rule": dict(required=True),
+    "--dist": dict(required=True),
+    "--tolerance": dict(type=float, default=1e-12),
+    "--d": dict(type=float, required=True),
+    "--m": dict(type=int, required=True),
+    "--seed": dict(type=int, default=None),
+    "--out": dict(default=None),
+}
+
+
+def _add(parser: argparse.ArgumentParser, *flags: str, **overrides) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **{**_FLAGS[flag], **overrides})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,95 +255,62 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a graph and write it as JSON")
     p.add_argument("--n", type=int, default=None, help="fixed point count")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="Poisson intensity (points per unit area)")
+    _add(p, "--lambda", required=False, default=None,
+         help="Poisson intensity (points per unit area)")
     p.add_argument("--width", type=float, required=True)
     p.add_argument("--height", type=float, required=True)
     p.add_argument("--boundary", choices=["open-box", "torus"], default=OPEN_BOX)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
+    _add(p, "--radius", "--seed", "--out")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("fail", help="apply a failure rule to a stored graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--rule", required=True,
-                   help="indep:q | attack:phi | table:q0,q1,...;tail=t")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
+    _add(p, "--rule", help="indep:q | attack:phi | table:q0,q1,...;tail=t")
+    _add(p, "--seed", "--out")
     p.set_defaults(func=_cmd_fail)
 
     p = sub.add_parser("cascade", help="run a threshold cascade on a stored graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--dist", required=True, help="pieces:start,end,density;...")
-    p.add_argument("--seed", type=int, default=None)
+    _add(p, "--dist", help="pieces:start,end,density;...")
+    _add(p, "--seed")
     p.add_argument("--seed-node", type=int, default=None)
-    p.add_argument("--out", default=None)
+    _add(p, "--out")
     p.set_defaults(func=_cmd_cascade)
 
     p = sub.add_parser("sweep", help="run an experiment config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
+    _add(p, "--out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("theory", help="evaluate a closed-form condition")
     tsub = p.add_subparsers(dest="theory_command", required=True)
-    for name in ("critical-q", "critical-phi", "failure-condition", "cascade-condition",
-                 "block-cap", "circuit-bound"):
-        tp = tsub.add_parser(name)
-        if name != "circuit-bound":
-            tp.add_argument("--lambda", dest="lam", type=float, required=True)
-        if name == "failure-condition":
-            tp.add_argument("--rule", required=True)
-        if name == "cascade-condition":
-            tp.add_argument("--dist", required=True)
-        if name in ("failure-condition", "cascade-condition"):
-            tp.add_argument("--tolerance", type=float, default=1e-12)
-        if name == "block-cap":
-            tp.add_argument("--d", type=float, required=True)
-        if name == "circuit-bound":
-            tp.add_argument("--m", type=int, required=True)
-        tp.add_argument("--out", default=None)
+    for name, (flags, _) in _THEORY.items():
+        _add(tsub.add_parser(name), *flags, "--out")
     p.set_defaults(func=_cmd_theory)
 
     p = sub.add_parser("estimate", help="Monte Carlo estimation of critical points")
     esub = p.add_subparsers(dest="estimate_command", required=True)
     ep = esub.add_parser("lambda-c")
-    ep.add_argument("--side", type=float, default=50.0)
-    ep.add_argument("--radius", type=float, default=1.0)
+    _add(ep, "--side", "--radius")
     ep.add_argument("--trials", type=int, default=200)
     ep.add_argument("--bracket-low", type=float, default=1.0)
     ep.add_argument("--bracket-high", type=float, default=2.0)
-    ep.add_argument("--width", type=float, default=0.02)
-    ep.add_argument("--seed", type=int, default=None)
-    ep.add_argument("--out", default=None)
+    _add(ep, "--width", "--seed", "--out")
     ep = esub.add_parser("qc")
-    ep.add_argument("--lambda", dest="lam", type=float, required=True)
-    ep.add_argument("--side", type=float, default=50.0)
-    ep.add_argument("--radius", type=float, default=1.0)
+    _add(ep, "--lambda", "--side", "--radius")
     ep.add_argument("--trials", type=int, default=100)
-    ep.add_argument("--width", type=float, default=0.02)
-    ep.add_argument("--seed", type=int, default=None)
-    ep.add_argument("--out", default=None)
+    _add(ep, "--width", "--seed", "--out")
     p.set_defaults(func=_cmd_estimate)
 
     return parser
 
 
-# Every float option, by argparse destination; a non-finite value is rejected
-# before any work is done.
-_FLOAT_FLAGS = {
-    "lam": "--lambda", "side": "--side", "radius": "--radius", "width": "--width",
-    "height": "--height", "bracket_low": "--bracket-low", "bracket_high": "--bracket-high",
-    "d": "--d", "tolerance": "--tolerance",
-}
-
-
 def _check_finite(args) -> None:
-    for dest, flag in _FLOAT_FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is not None and not math.isfinite(value):
+    """Reject a non-finite float option by its flag: dest with _ as -, lam as --lambda."""
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
             raise ValueError(f"{flag} must be a finite number, got {value}")
 
 

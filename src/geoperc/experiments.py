@@ -348,16 +348,31 @@ def _trial_critical_qs(config: ExperimentConfig) -> np.ndarray:
     return np.array(_over_trials(config, 0, critical_q))
 
 
-def _bisect(p, lo: float, hi: float, target_width: float, rising: bool):
-    """Bisect to where p crosses 1/2; p must rise (or fall) across [lo, hi].
+def _estimator_trials(lam: float, side: float, radius: float, trials: int, base_seed: int,
+                      target_width: float) -> np.ndarray:
+    """q* per trial of one Poisson graph at density lam on a side x side open
+    box, after the checks both estimators share: a side of at least 50 radii
+    and a positive target_width."""
+    if not side >= 50.0 * radius:
+        raise ValueError(f"region side {side} must be at least 50 radii ({50.0 * radius})")
+    if not target_width > 0:
+        raise ValueError(f"target_width must be positive, got {target_width}")
+    return _trial_critical_qs(ExperimentConfig(
+        kind="percolation-sweep", width=side, height=side, radius=radius, lambdas=(lam,),
+        trials=trials, base_seed=base_seed,
+    ))
 
-    Returns the final bracket and every (parameter, p) evaluated, in order.
-    Stops early when lo and hi are adjacent floats, where no midpoint is left.
-    """
+
+def _bisect(values: np.ndarray, lo: float, hi: float, target_width: float, rising: bool,
+            base_seed: int) -> BisectionResult:
+    """Bisect to where the fraction of per-trial critical values <= x (rising)
+    or >= x (falling) crosses 1/2; it must rise (or fall) across [lo, hi].
+    Records every (x, fraction) evaluated, in order, and stops early when lo
+    and hi are adjacent floats, where no midpoint is left."""
     evals = []
 
     def evaluate(x: float) -> float:
-        evals.append((x, p(x)))
+        evals.append((x, float(np.mean(values <= x if rising else x <= values))))
         return evals[-1][1]
 
     p_lo = evaluate(lo)
@@ -375,20 +390,7 @@ def _bisect(p, lo: float, hi: float, target_width: float, rising: bool):
             lo = mid
         else:
             hi = mid
-    return lo, hi, tuple(evals)
-
-
-def _estimator_config(lam: float, side: float, radius: float, trials: int, base_seed: int):
-    """The trial graphs of an estimator: one Poisson graph at density lam per trial."""
-    return ExperimentConfig(
-        kind="percolation-sweep",
-        width=side,
-        height=side,
-        radius=radius,
-        lambdas=(lam,),
-        trials=trials,
-        base_seed=base_seed,
-    )
+    return BisectionResult(lo, hi, tuple(evals), len(values), base_seed, tuple(values.tolist()))
 
 
 def estimate_lambda_c(
@@ -407,21 +409,13 @@ def estimate_lambda_c(
     side must be at least 50 radii; the returned interval has width at most
     target_width and brackets the empirical transition point.
     """
-    if side < 50.0 * radius:
-        raise ValueError(f"region side {side} must be at least 50 radii ({50.0 * radius})")
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"bracket {bracket} is not an interval")
     if not hi > 0:
         raise ValueError(f"bracket {bracket} must have a positive upper end")
-    if not target_width > 0:
-        raise ValueError(f"target_width must be positive, got {target_width}")
-    q_star = _trial_critical_qs(_estimator_config(hi, side, radius, trials, base_seed))
-    low, high, evals = _bisect(
-        lambda lam: float(np.mean(1.0 - lam / hi <= q_star)), lo, hi, target_width, rising=True
-    )
-    lam_star = tuple((hi * (1.0 - q_star)).tolist())
-    return BisectionResult(low, high, evals, trials, base_seed, lam_star)
+    q_star = _estimator_trials(hi, side, radius, trials, base_seed, target_width)
+    return _bisect(hi * (1.0 - q_star), lo, hi, target_width, True, base_seed)
 
 
 def estimate_qc(
@@ -435,17 +429,16 @@ def estimate_qc(
     """Bisect the independent-failure probability in [0, 1] at which crossing
     drops to 1/2.
 
-    Each trial builds one graph and crosses at q iff q <= its q*.
+    Each trial builds one graph and crosses at q iff q <= its q*. The density
+    must be supercritical, lam radius**2 > LAMBDA_C, and the region side at
+    least 50 radii.
     """
-    if lam <= LAMBDA_C:
-        raise SubcriticalDensityError(f"lambda={lam} is not above the critical density {LAMBDA_C}")
-    if not target_width > 0:
-        raise ValueError(f"target_width must be positive, got {target_width}")
-    q_star = _trial_critical_qs(_estimator_config(lam, side, radius, trials, base_seed))
-    low, high, evals = _bisect(
-        lambda q: float(np.mean(q <= q_star)), 0.0, 1.0, target_width, rising=False
-    )
-    return BisectionResult(low, high, evals, trials, base_seed, tuple(q_star.tolist()))
+    if radius > 0 and not lam * radius * radius > LAMBDA_C:
+        raise SubcriticalDensityError(
+            f"lambda={lam} is not above the critical density {LAMBDA_C / radius / radius}"
+        )
+    q_star = _estimator_trials(lam, side, radius, trials, base_seed, target_width)
+    return _bisect(q_star, 0.0, 1.0, target_width, False, base_seed)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import dataclasses
@@ -61,33 +62,63 @@ def test_non_finite_output_is_an_error_not_nan_json(capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize(
-    "flag, argv",
-    [
-        ("--side", ["estimate", "lambda-c", "--side", "inf", "--trials", "2"]),
-        ("--radius", ["estimate", "lambda-c", "--radius", "nan", "--trials", "2"]),
-        ("--width", ["estimate", "lambda-c", "--width", "nan", "--trials", "2"]),
-        ("--bracket-low", ["estimate", "lambda-c", "--bracket-low", "nan", "--trials", "2"]),
-        ("--bracket-high", ["estimate", "lambda-c", "--bracket-high", "inf", "--trials", "2"]),
-        ("--lambda", ["estimate", "qc", "--lambda", "nan", "--trials", "2"]),
-        ("--lambda", ["theory", "critical-q", "--lambda", "1e400"]),
-        ("--width", ["estimate", "qc", "--lambda", "2.87", "--width", "nan", "--trials", "2"]),
-        ("--d", ["theory", "block-cap", "--lambda", "2", "--d", "nan"]),
-        ("--width", ["generate", "--n", "5", "--width", "inf", "--height", "5", "--seed", "1"]),
-        ("--height", ["generate", "--n", "5", "--width", "5", "--height", "nan", "--seed", "1"]),
-        ("--lambda", ["generate", "--lambda", "nan", "--width", "5", "--height", "5",
-                      "--seed", "1"]),
-        ("--radius", ["generate", "--n", "5", "--width", "5", "--height", "5",
-                      "--radius", "inf", "--seed", "1"]),
-        ("--tolerance", ["theory", "cascade-condition", "--lambda", "2",
-                         "--dist", "pieces:0,1,1", "--tolerance", "nan"]),
-    ],
-)
+# At least one case per float option of every leaf subcommand.
+NON_FINITE_FLAG_CASES = [
+    ("--side", ["estimate", "lambda-c", "--side", "inf", "--trials", "2"]),
+    ("--radius", ["estimate", "lambda-c", "--radius", "nan", "--trials", "2"]),
+    ("--width", ["estimate", "lambda-c", "--width", "nan", "--trials", "2"]),
+    ("--bracket-low", ["estimate", "lambda-c", "--bracket-low", "nan", "--trials", "2"]),
+    ("--bracket-high", ["estimate", "lambda-c", "--bracket-high", "inf", "--trials", "2"]),
+    ("--lambda", ["estimate", "qc", "--lambda", "nan", "--trials", "2"]),
+    ("--lambda", ["theory", "critical-q", "--lambda", "1e400"]),
+    ("--width", ["estimate", "qc", "--lambda", "2.87", "--width", "nan", "--trials", "2"]),
+    ("--d", ["theory", "block-cap", "--lambda", "2", "--d", "nan"]),
+    ("--width", ["generate", "--n", "5", "--width", "inf", "--height", "5", "--seed", "1"]),
+    ("--height", ["generate", "--n", "5", "--width", "5", "--height", "nan", "--seed", "1"]),
+    ("--lambda", ["generate", "--lambda", "nan", "--width", "5", "--height", "5",
+                  "--seed", "1"]),
+    ("--radius", ["generate", "--n", "5", "--width", "5", "--height", "5",
+                  "--radius", "inf", "--seed", "1"]),
+    ("--tolerance", ["theory", "cascade-condition", "--lambda", "2",
+                     "--dist", "pieces:0,1,1", "--tolerance", "nan"]),
+    ("--lambda", ["theory", "critical-phi", "--lambda", "nan"]),
+    ("--lambda", ["theory", "failure-condition", "--lambda", "inf", "--rule", "attack:4"]),
+    ("--tolerance", ["theory", "failure-condition", "--lambda", "2", "--rule", "attack:4",
+                     "--tolerance", "nan"]),
+    ("--lambda", ["theory", "cascade-condition", "--lambda", "inf", "--dist", "pieces:0,1,1"]),
+    ("--lambda", ["theory", "block-cap", "--lambda", "nan", "--d", "5"]),
+    ("--side", ["estimate", "qc", "--lambda", "2.87", "--side", "nan", "--trials", "2"]),
+    ("--radius", ["estimate", "qc", "--lambda", "2.87", "--radius", "inf", "--trials", "2"]),
+]
+
+
+@pytest.mark.parametrize("flag, argv", NON_FINITE_FLAG_CASES)
 def test_non_finite_flag_rejected_by_name(capsys, flag, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {flag} must be a finite number"), err
+
+
+def _leaf_parsers(parser, path=()):
+    """(subcommand path, parser) of every leaf subcommand under parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, path + (name,))
+
+
+def test_every_float_flag_has_a_non_finite_case():
+    covered = set()
+    for flag, argv in NON_FINITE_FLAG_CASES:
+        first_flag = next(i for i, arg in enumerate(argv) if arg.startswith("--"))
+        covered.add((tuple(argv[:first_flag]), flag))
+    floats = {(path, action.option_strings[0])
+              for path, leaf in _leaf_parsers(build_parser())
+              for action in leaf._actions if action.type is float}
+    assert floats <= covered, floats - covered
 
 
 def _reject_constant(name):
@@ -405,6 +436,15 @@ def test_estimate_non_positive_width_is_one_error_line(capsys, argv, width):
     assert code == 1
     assert out == ""
     assert err == f"error: --width must be positive, got {width}\n", err
+
+
+@pytest.mark.parametrize("argv", [["lambda-c"], ["qc", "--lambda", "2.87"]])
+def test_estimate_side_below_50_radii_is_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, "estimate", *argv, "--side", "0", "--trials", "2",
+                             "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: region side 0.0 must be at least 50 radii (50.0)\n", err
 
 
 def test_generate_then_fail_attack(tmp_path, capsys):
@@ -763,13 +803,18 @@ def test_example_config_is_the_criterion_4_config(name, expected):
     assert config_from_dict(doc) == expected
 
 
-def test_readme_experiment_commands_parse():
+def _readme_commands(heading: str) -> list[list[str]]:
+    """argv of every geoperc command in the first sh block under a README heading."""
     text = (REPO / "README.md").read_text()
-    section = text.split("\n## Experiments\n", 1)[1].split("\n## ", 1)[0]
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     # the critical-phi loop variable stands for one density
-    commands = [shlex.split(line.replace("$lam", "1"))[1:]
-                for line in block.splitlines() if line.strip().startswith("geoperc ")]
+    return [shlex.split(line.replace("$lam", "1"), comments=True)[1:]
+            for line in block.splitlines() if line.strip().startswith("geoperc ")]
+
+
+def test_readme_experiment_commands_parse():
+    commands = _readme_commands("Experiments")
     assert {tuple(argv[:2]) for argv in commands} == {
         ("estimate", "lambda-c"), ("sweep", "--config"), ("theory", "critical-phi")}
     parser = build_parser()
@@ -777,3 +822,10 @@ def test_readme_experiment_commands_parse():
         args = parser.parse_args(argv)
         if hasattr(args, "config"):
             assert (REPO / args.config).is_file(), args.config
+    # the CLI block parses too, and shows every leaf subcommand at least once
+    cli_commands = _readme_commands("CLI")
+    for argv in cli_commands:
+        parser.parse_args(argv)
+    leaves = [path for path, _ in _leaf_parsers(parser)]
+    shown = {tuple(argv[:len(path)]) for argv in cli_commands for path in leaves}
+    assert [path for path in leaves if path not in shown] == []

@@ -21,7 +21,6 @@ from geoperc.failures import (
 from geoperc.experiments import (
     BisectionResult,
     ExperimentConfig,
-    _estimator_config,
     _median_ci_rank,
     _proxy_indicator,
     _trial_critical_qs,
@@ -250,8 +249,7 @@ GOLDEN_LAMBDA_C_STAR = (1.3111664517007409, 1.4070011295990663, 1.54614772850967
 
 
 def test_estimator_trials_match_golden_values():
-    q_star = _trial_critical_qs(_estimator_config(2.87, 50.0, 1.0, 5, 11))
-    assert tuple(q_star.tolist()) == GOLDEN_QC_Q_STAR
+    assert estimate_qc(2.87, trials=5, base_seed=11).critical_values == GOLDEN_QC_Q_STAR
     assert estimate_lambda_c(trials=5, base_seed=2024).critical_values == GOLDEN_LAMBDA_C_STAR
 
 
@@ -333,6 +331,29 @@ def test_estimate_lambda_c_validates_inputs():
 def test_estimate_qc_validates_inputs():
     with pytest.raises(SubcriticalDensityError):
         estimate_qc(1.0)
+    # the critical density scales as radius**-2: lambda radius**2 = 1 is subcritical
+    with pytest.raises(SubcriticalDensityError, match=r"critical density 5\.74$"):
+        estimate_qc(4.0, radius=0.5, trials=2, base_seed=1)
+    for side, radius in ((20.0, 1.0), (0.0, 1.0), (50.0, 2.0), (50.0, 1e200)):
+        with pytest.raises(ValueError, match=rf"side {side} must be at least 50 radii"):
+            estimate_qc(2.87, side=side, radius=radius, trials=2, base_seed=1)
+    # extreme radii raise these errors, not an OverflowError or ZeroDivisionError
+    with pytest.raises(SubcriticalDensityError, match="critical density inf$"):
+        estimate_qc(2.87, radius=1e-200, trials=2, base_seed=1)
+
+
+def test_estimators_depend_on_lambda_radius_squared_only():
+    # twice the side and radius at a quarter of the density places the same
+    # Poisson count and doubles every coordinate exactly, so every trial graph
+    # and its q* are the same
+    assert (estimate_qc(1.0, side=100.0, radius=2.0, trials=30, base_seed=11)
+            == estimate_qc(4.0, side=50.0, trials=30, base_seed=11))
+    unit = estimate_lambda_c(trials=40, base_seed=11)
+    scaled = estimate_lambda_c(side=100.0, radius=2.0, trials=40, base_seed=11,
+                               bracket=(0.25, 0.5), target_width=0.005)
+    assert scaled.critical_values == tuple(v / 4 for v in unit.critical_values)
+    assert scaled.evaluations == tuple((x / 4, p) for x, p in unit.evaluations)
+    assert (scaled.low, scaled.high) == (unit.low / 4, unit.high / 4)
 
 
 def test_finite_size_scaling_shrinks_bias():
@@ -429,6 +450,13 @@ def test_estimators_build_one_graph_per_trial():
         assert all(built[0] < placed for placed, built in builds), builds
 
 
+def _estimator_trial_config(lam, side, radius, trials, base_seed) -> ExperimentConfig:
+    """An estimator's trial graphs, one Poisson graph at density lam per trial,
+    on boxes smaller than the estimators accept."""
+    return ExperimentConfig(kind="percolation-sweep", width=side, height=side, radius=radius,
+                            lambdas=(lam,), trials=trials, base_seed=base_seed)
+
+
 def _assert_survivor_search_matches_full_graph(config: ExperimentConfig) -> Counter:
     """Every trial's q* equals the critical q of its whole graph; returns how
     often each branch ran: a survivor hit, a miss and its fallback, or only
@@ -458,7 +486,8 @@ def _assert_survivor_search_matches_full_graph(config: ExperimentConfig) -> Coun
     base_seed=st.integers(0, 2**32),
 )
 def test_survivor_search_matches_full_graph_oracle(side, lam, base_seed):
-    _assert_survivor_search_matches_full_graph(_estimator_config(lam, side, 1.0, 4, base_seed))
+    config = _estimator_trial_config(lam, side, 1.0, 4, base_seed)
+    _assert_survivor_search_matches_full_graph(config)
 
 
 # (side, lambda, radius): small boxes, where survivors at t0 often miss; a
@@ -471,7 +500,7 @@ BRANCH_CASES = ((3.0, 5.0, 1.0), (4.0, 3.0, 1.0), (12.0, 5.0, 1.0), (8.0, 1.5, 1
 def test_survivor_search_takes_every_branch():
     branches = Counter()
     for side, lam, radius in BRANCH_CASES:
-        config = _estimator_config(lam, side, radius, 20, 1)
+        config = _estimator_trial_config(lam, side, radius, 20, 1)
         branches += _assert_survivor_search_matches_full_graph(config)
     assert branches["hit"] and branches["miss"] and branches["full"], branches
 
