@@ -218,8 +218,8 @@ def _cmd_estimate(args) -> int:
         estimate = functools.partial(estimate_qc, args.lam)
         params = {"lambda": args.lam, **shared}
     result = estimate(**shared, base_seed=args.seed, target_width=args.width)
-    params["width"] = args.width
-    doc = _document(f"estimate {args.estimate_command}", params, args.seed, result.to_dict())
+    doc = _document(f"estimate {args.estimate_command}", {**params, "width": args.width},
+                    args.seed, result.to_dict())
     _emit(doc, args.out)
     return 0
 
@@ -235,8 +235,8 @@ _FLAGS = {
     "--tolerance": dict(type=float, default=1e-12),
     "--d": dict(type=float, required=True),
     "--m": dict(type=int, required=True),
-    "--seed": dict(type=int, default=None),
-    "--out": dict(default=None),
+    "--seed": dict(type=int),
+    "--out": dict(),
 }
 
 
@@ -255,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a graph and write it as JSON")
     p.add_argument("--n", type=int, default=None, help="fixed point count")
-    _add(p, "--lambda", required=False, default=None,
-         help="Poisson intensity (points per unit area)")
+    _add(p, "--lambda", required=False, help="Poisson intensity (points per unit area)")
     p.add_argument("--width", type=float, required=True)
     p.add_argument("--height", type=float, required=True)
     p.add_argument("--boundary", choices=["open-box", "torus"], default=OPEN_BOX)
