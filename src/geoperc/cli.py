@@ -9,7 +9,8 @@ trial T. Documents are written through ``geoperc.io``: strict JSON to --out
 or stdout, and for sweeps CSV of the same records. A flag that several
 subcommands take is declared once, in ``_FLAGS``, and ``_THEORY`` gives each
 theory subcommand its flags and body. A non-finite value of any float option
-is rejected, named by its flag, before any work is done.
+is rejected, named by its flag, before any work is done, and so is a --seed
+outside [0, 2**64).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .io import (
     to_csv,
     write_text,
 )
+from .seeding import check_seed
 from .theory import (
     LAMBDA_C,
     block_count_cap,
@@ -318,8 +320,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_finite(args)
-        if "seed" in vars(args) and args.seed is None:
-            args.seed = _fresh_seed()
+        if "seed" in vars(args):
+            args.seed = _fresh_seed() if args.seed is None else args.seed
+            check_seed(args.seed, "--seed")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,6 +44,9 @@ at lam 2.87 and 90% at lam_max 2.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
@@ -58,6 +61,7 @@ from .seeding import (
     STREAM_PLACEMENT,
     STREAM_SEED_NODE,
     STREAM_THRESHOLDS,
+    check_seed,
     derive_seed,
     generator_from_seed,
     substream,
@@ -117,6 +121,7 @@ class ExperimentConfig:
         object.__setattr__(self, "region", Region(self.width, self.height, self.boundary))
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        check_seed(self.base_seed, "base_seed")
         if self.proxy not in PROXIES:
             raise ValueError(f"proxy must be one of {PROXIES}, got {self.proxy!r}")
         if self.seeding not in SEEDINGS:
@@ -197,11 +202,97 @@ def trial_seeds(config: ExperimentConfig, lam_index: int) -> list[int]:
     ]
 
 
+# Fewest trials per worker process; a batch under twice this runs serial.
+_MIN_TRIALS_PER_WORKER = 8
+
+
+def _worker_count(trials: int) -> int:
+    """Processes a batch of trials runs on: one per CPU the process may use,
+    at most one per _MIN_TRIALS_PER_WORKER trials, and one where the platform
+    reports no affinity mask."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), trials // _MIN_TRIALS_PER_WORKER))
+
+
+def _run_child(run_share, worker: int, write_fd: int, inherited: tuple[int, ...]) -> None:
+    """Body of a forked worker: close the pipe ends it inherited, pickle its
+    share, or the exception it raised, to write_fd, and end the process, with
+    status 0 only after a share was written, never returning to the caller."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            payload, ok = run_share(worker), True
+        except BaseException as exc:
+            payload, ok = exc, False
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(payload, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0 if ok else 1
+    finally:
+        os._exit(status)
+
+
+def _collect(pid: int, read_fd: int) -> list:
+    """A forked worker's share, read to the end of its pipe, after which the
+    worker is reaped; the exception it raised is raised here."""
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status == 0:
+        return pickle.loads(data)
+    try:
+        error = pickle.loads(data)
+    except Exception:  # no result, or a truncated one
+        error = None
+    if isinstance(error, BaseException):
+        raise error
+    raise RuntimeError(f"trial worker {pid} exited with status {status} without a result")
+
+
 def _over_trials(config: ExperimentConfig, lam_index: int, evaluate) -> list:
-    """evaluate(seed, points) per trial at one lambda index, in order, on the
-    trial's placed points; one trial's points alive at a time."""
-    return [evaluate(seed, _trial_points(config, lam_index, seed))
-            for seed in trial_seeds(config, lam_index)]
+    """evaluate(seed, points) per trial at one lambda index, in trial order, on
+    the trial's placed points; one trial's points alive at a time per process.
+    Trial t runs in worker t mod w of _worker_count's w: worker 0 is this
+    process, each other one a forked child that pipes back its list of results."""
+    seeds = trial_seeds(config, lam_index)
+    workers = _worker_count(len(seeds))
+
+    def run_share(worker: int) -> list:
+        return [evaluate(seed, _trial_points(config, lam_index, seed))
+                for seed in seeds[worker::workers]]
+
+    if workers == 1:
+        return run_share(0)
+    children: dict[int, int] = {}  # pid -> read end of its pipe, until collected
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(run_share, worker, write_fd, (read_fd, *children.values()))
+            except BaseException:
+                os.close(read_fd)
+                raise
+            finally:
+                os.close(write_fd)
+            children[pid] = read_fd
+        shares = [run_share(0)]
+        for pid in list(children):
+            shares.append(_collect(pid, children.pop(pid)))
+    finally:
+        for pid, read_fd in children.items():
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = [None] * len(seeds)
+    for worker, share in enumerate(shares):
+        results[worker::workers] = share
+    return results
 
 
 def _proxy_indicator(config: ExperimentConfig, graph: SpatialGraph, alive: np.ndarray) -> float:

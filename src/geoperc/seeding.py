@@ -30,6 +30,12 @@ STREAM_THRESHOLDS = 2
 STREAM_SEED_NODE = 3
 
 
+def check_seed(seed: int, name: str) -> None:
+    """Reject a seed outside [0, 2**64), which the 64-bit mask would alias to one inside."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
+
+
 def splitmix64(x: int) -> int:
     """One step of the splitmix64 generator; a bijection on uint64."""
     x = (x + 0x9E3779B97F4A7C15) & MASK64

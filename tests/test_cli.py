@@ -416,6 +416,17 @@ def test_generate_bad_point_count_is_one_error_line(capsys, argv, pattern):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize("argv", [["generate", "--n", "5", "--width", "5", "--height", "5"],
+                                  ["estimate", "qc", "--lambda", "2.87", "--trials", "2"]])
+def test_seed_outside_64_bits_is_one_error_line(capsys, argv, seed):
+    # masking to 64 bits would run another seed's stream and record this one
+    code, out, err = run_cli(capsys, *argv, "--seed", seed)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --seed must be in [0, 2**64), got {seed}\n", err
+
+
 @pytest.mark.parametrize("low, high", [("-1", "0"), ("-2", "-1")])
 def test_estimate_lambda_c_non_positive_bracket_is_one_error_line(capsys, low, high):
     code, out, err = run_cli(capsys, "estimate", "lambda-c", "--bracket-low", low,

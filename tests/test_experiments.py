@@ -57,6 +57,21 @@ def test_config_validation():
         ExperimentConfig(kind="lambda-c-estimate", width=10, height=10)
 
 
+def test_base_seed_outside_64_bits_rejected_by_name():
+    # masking to 64 bits would alias -1 to 2**64 - 1 and 2**64 to 0
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=rf"^base_seed must be in \[0, 2\*\*64\), got {bad}$"):
+            ExperimentConfig(kind="percolation-sweep", width=10, height=10, lambdas=(1.0,),
+                             base_seed=bad)
+        with pytest.raises(ValueError, match="base_seed"):
+            estimate_qc(2.87, trials=4, base_seed=bad)
+        with pytest.raises(ValueError, match="base_seed"):
+            config_from_dict({"kind": "percolation-sweep", "region": {"width": 10, "height": 10},
+                              "lambdas": [1.0], "base_seed": bad})
+    for good in (0, 2**64 - 1):
+        assert estimate_qc(2.87, trials=4, base_seed=good).base_seed == good
+
+
 def test_config_round_trip():
     cfg = ExperimentConfig(
         kind="failure-sweep",
@@ -436,6 +451,7 @@ def _builds_per_trial(run):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "_trial_points", placing_trial_points)
         patch.setattr(experiments, "build_graph", counting_build_graph)
+        patch.setattr(experiments, "_worker_count", lambda trials: 1)  # count every trial here
         result = run()
     return result, trials
 
@@ -464,7 +480,7 @@ def _assert_survivor_search_matches_full_graph(config: ExperimentConfig) -> Coun
     q_star, trials = _builds_per_trial(lambda: _trial_critical_qs(config))
     floored = config.lambdas[0] * config.radius**2 > experiments._SURVIVOR_DENSITY
     branches = Counter()
-    for seed, q, (placed, built) in zip(trial_seeds(config, 0), q_star, trials):
+    for seed, q, (placed, built) in zip(trial_seeds(config, 0), q_star, trials, strict=True):
         graph = trial_graph(config, 0, seed)
         assert q == whole_graph_critical_q(graph, substream(seed, STREAM_FAILURES)), (seed, q)
         if not floored:
