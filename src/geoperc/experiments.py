@@ -7,11 +7,16 @@ a sweep and results are bit-reproducible. One trial loop places the points of
 each (lambda, trial), a Poisson process at lambda, or n uniform points when a
 cascade trial gives n; a sweep builds one graph from them, and a failure sweep
 applies every rule to it with the same failure uniforms, an exact coupling.
-Trials are reduced in (lambda, trial) order, so a parallel executor would
-produce the same output as this serial one. Each per-trial draw comes from
-its own substream of the trial seed. The CLI's ``generate``, ``fail`` and
-``cascade --seed T`` replay trial T through the functions the trials call:
-``place_points``, ``fail_nodes``, ``draw_thresholds`` and ``draw_seed_node``.
+A batch of trials is split across the CPUs of the process's affinity mask,
+at most one worker per _MIN_TRIALS_PER_WORKER trials: trial t runs in worker
+t mod w, the caller being worker 0 and each other worker a forked child that
+pipes back its per-trial results, never a graph. Every trial depends only on
+its seed and the results are merged in (lambda, trial) order, so the output
+does not depend on the worker count; a batch under 16 trials forks nothing.
+Each per-trial draw comes from its own substream of the trial seed. The CLI's
+``generate``, ``fail`` and ``cascade --seed T`` replay trial T through the
+functions the trials call: ``place_points``, ``fail_nodes``, ``draw_thresholds``
+and ``draw_seed_node``.
 The crossing proxy is one event, a left-right crossing of the whole region
 (``graph.crosses``). A cascade trial labels its vulnerable nodes and nothing
 else: its failed set is one connected cluster that holds the seed.
@@ -244,12 +249,8 @@ def _collect(pid: int, read_fd: int) -> list:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status == 0:
         return pickle.loads(data)
-    try:
-        error = pickle.loads(data)
-    except Exception:  # no result, or a truncated one
-        error = None
-    if isinstance(error, BaseException):
-        raise error
+    if data:
+        raise pickle.loads(data)
     raise RuntimeError(f"trial worker {pid} exited with status {status} without a result")
 
 
