@@ -321,7 +321,8 @@ def main(argv=None) -> int:
     try:
         _check_finite(args)
         if "seed" in vars(args):
-            args.seed = _fresh_seed() if args.seed is None else args.seed
+            if args.seed is None:
+                args.seed = _fresh_seed()
             check_seed(args.seed, "--seed")
         return args.func(args)
     except (ValueError, OSError) as exc:
