@@ -82,7 +82,17 @@ def generate_uniform(n: int, region: Region, seed: int) -> PointSet:
 
 def generate_poisson(lam: float, region: Region, seed: int) -> PointSet:
     """Poisson(lam * area) point count, then uniform placement; deterministic given seed."""
-    if lam < 0:
-        raise ValueError(f"intensity must be non-negative, got {lam}")
+    if not lam >= 0:
+        raise ValueError(f"lambda must be non-negative, got {lam}")
+    # a Python float overflows to inf without numpy's warning
+    mean = float(lam) * region.area
     gen = generator_from_seed(seed)
-    return _place(int(gen.poisson(lam * region.area)), region, gen)
+    try:
+        # numpy refuses a mean past about 9.2e18, inf included
+        count = int(gen.poisson(mean))
+    except ValueError:
+        raise ValueError(
+            f"lambda {lam} times area {region.area} gives {mean} expected points,"
+            " more than a Poisson point count can hold"
+        ) from None
+    return _place(count, region, gen)

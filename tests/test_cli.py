@@ -416,6 +416,27 @@ def test_generate_bad_point_count_is_one_error_line(capsys, argv, pattern):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--lambda", "1e18", "--width", "5", "--height", "5", "--seed", "1"],
+         "lambda 1e+18 times area 25.0 gives 2.5e+19 expected points"),
+        (["sweep", "--config", "CONFIG"], "lambda 1e+308 times area 225.0 gives inf expected points"),
+        (["estimate", "qc", "--lambda", "1e300", "--seed", "1"],
+         "lambda 1e+300 times area 2500.0 gives "),
+    ],
+)
+def test_extreme_poisson_intensity_is_one_error_line(tmp_path, capsys, argv, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "percolation-sweep", "region": {"width": 15, "height": 15},
+                                  "lambdas": [1e308], "trials": 2}))
+    code, out, err = run_cli(capsys, *(str(config) if a == "CONFIG" else a for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: " + message), err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
 @pytest.mark.parametrize("argv", [["generate", "--n", "5", "--width", "5", "--height", "5"],
                                   ["estimate", "qc", "--lambda", "2.87", "--trials", "2"]])

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +50,24 @@ def test_generate_uniform_deterministic():
 def test_generate_poisson_empty():
     pts = generate_poisson(0.0, Region(10.0, 10.0), seed=5)
     assert len(pts) == 0
+
+
+@pytest.mark.parametrize("lam", [np.nan, -1.0, -np.inf])
+def test_generate_poisson_rejects_bad_lambda_by_name(lam):
+    with pytest.raises(ValueError, match=r"^lambda must be non-negative, got "):
+        generate_poisson(lam, Region(5.0, 5.0), seed=1)
+
+
+@pytest.mark.parametrize(
+    "lam, mean",
+    [(1e18, 2.5e19), (1e308, np.inf), (np.float64(1e308), np.inf), (np.inf, np.inf)],
+)
+def test_generate_poisson_rejects_count_past_the_sampler(lam, mean):
+    message = f"lambda {lam} times area 25.0 gives {mean} expected points"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            generate_poisson(lam, Region(5.0, 5.0), seed=1)
 
 
 def test_generate_poisson_deterministic():

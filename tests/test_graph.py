@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -250,6 +251,47 @@ def test_component_roots_match_union_find(graph):
     u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     roots = _component_roots(n, u, v)
     assert roots.tolist() == _union_find_roots(n, edges)
+
+
+def test_component_roots_never_writes_its_inputs(medium_graph):
+    n = len(medium_graph)
+    u, v = medium_graph.edges.T  # read-only views, as components passes them
+    roots = _component_roots(n, u, v)
+    # writable copies, shuffled and half reversed so that later sweeps run
+    rng = np.random.default_rng(5)
+    order = rng.permutation(len(u))
+    flip = rng.random(len(u)) < 0.5
+    a = np.where(flip, v, u)[order]
+    b = np.where(flip, u, v)[order]
+    a_before, b_before = a.copy(), b.copy()
+    assert np.array_equal(_component_roots(n, a, b), roots)
+    assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+
+
+def _traced_peak(func, *args):
+    """func(*args) and the peak bytes it allocated beyond what was held before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = func(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_layer_peak_memory_guard():
+    # numpy reports its buffers to tracemalloc, so these peaks repeat exactly;
+    # in units of the edge array, build_graph peaked at 3.45 and components and
+    # crosses at 3.8 before their temporaries were cut to 2.8 and 2.1
+    points = generate_poisson(5.0, Region(40.0, 40.0), seed=3)
+    graph, build_peak = _traced_peak(build_graph, points, 1.0)
+    edge_bytes = graph.edges.nbytes
+    alive = np.random.default_rng(3).random(len(graph)) < 0.9
+    assert build_peak <= 3.0 * edge_bytes
+    for func in (components, crosses):
+        peak = _traced_peak(func, graph, alive)[1]
+        assert peak <= 2.5 * edge_bytes, (func.__name__, peak / edge_bytes)
 
 
 def test_components_mask_length_checked(medium_graph):
