@@ -32,22 +32,21 @@ radius of the right edge, found as a root shared by both strips.
 by a binary search that drops or contracts the nodes each step decides, so it
 labels a graph about once in all, not once per step.
 
-Hot filters compact through an index, not a boolean mask. With numpy 2.4 on
-a 2-core Xeon VM, ``x[mask]`` over 15k entries at half density takes about
-120 us, while ``idx = mask.nonzero()[0]`` and ``x[idx]`` take 18 + 12 us, and
-the index serves every array the mask filters. ``_alive_edges`` compacts
-through an index too: its int64 index over the surviving edges once raised
-peak memory on a large, mostly alive graph, but since ``_component_roots``
-hooks the first sweep on the edges themselves, the labeling's peak lies
-elsewhere, and the degree-failure benchmark's peak RSS fell from 96 to 81 MB
-with the changes below. ``build_graph`` frees each candidate chunk's arrays
-before it makes the next chunk's, so one chunk is alive at a time; it computes
-distances and keys in place, sorts the keys in place and splits them into one
-(2, E) buffer whose transpose is ``edges``. Cells are
-sorted by a key of the narrowest unsigned type that holds every cell id; on
-grids of at most 2**16 cells numpy's stable sort is then a radix sort, 10x
-faster at 5k points, and a stable sort of the same keys gives the same
-permutation.
+Hot filters compact through an index, not a boolean mask. With numpy 2.4 on a
+2-core Xeon VM, ``x[mask]`` over 15k entries at half density takes about 120
+us, while ``idx = mask.nonzero()[0]`` and ``x[idx]`` take 18 + 12 us, and the
+index serves every array the mask filters; ``_alive_edges`` uses one too. Its
+int64 index does not set the labeling's peak memory: traced on a λ 5 graph
+with 90% of nodes alive, ``components`` peaks at about 2.1 times the bytes of
+``edges``, where the roots gathered after the first sweep and their compaction
+overlap the alive edge list. The graph layer otherwise keeps few arrays the
+size of the edge list alive: ``build_graph`` computes distances and keys in
+place and frees each candidate chunk's arrays before it makes the next
+chunk's, sorts the keys in place, and splits them into one (2, E) buffer whose
+transpose is ``edges``. Cells are sorted by a key of the narrowest unsigned
+type that holds every cell id; on grids of at most 2**16 cells numpy's stable
+sort is then a radix sort, 10x faster at 5k points, and a stable sort of the
+same keys gives the same permutation.
 """
 
 from __future__ import annotations
@@ -169,11 +168,10 @@ def build_graph(points: PointSet, radius: float = 1.0) -> SpatialGraph:
         b = order[right[close]]
         del left, right, close
         key = np.minimum(a, b)
-        np.maximum(a, b, out=b)
         key *= n
-        key += b
+        key += np.maximum(a, b, out=b)
         keys.append(key)
-        del a, b, key
+        del a, b
     key = np.concatenate(keys)
     del keys
     # wrap-around offsets revisit a cell pair only on a torus axis with < 3 cells
@@ -221,7 +219,6 @@ def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     read. A node on no edge is its own root.
     """
     root = np.arange(n)
-    # every node is its own root in the first sweep: hook the edges themselves
     ru, rv = u, v
     while True:
         np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
@@ -230,13 +227,12 @@ def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             if (jumped == root).all():
                 break
             root = jumped
-        ru = root[u]
-        rv = root[v]
+        ru, rv = root[u], root[v]
         split = (ru != rv).nonzero()[0]
         if not split.size:
             return root
         # one array at a time, so only one old and new copy are alive together;
-        # the roots first, as only their old copies are freed here
+        # the roots first, as the caller holds the first u and v
         ru = ru[split]
         rv = rv[split]
         u = u[split]

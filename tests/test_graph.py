@@ -282,8 +282,9 @@ def _traced_peak(func, *args):
 
 def test_graph_layer_peak_memory_guard():
     # numpy reports its buffers to tracemalloc, so these peaks repeat exactly;
-    # in units of the edge array, build_graph peaked at 3.45 and components and
-    # crosses at 3.8 before their temporaries were cut to 2.8 and 2.1
+    # in units of the edge array they read 2.77 (build_graph), 2.05
+    # (components) and 2.07 (crosses), against over 3.4 when a sweep's root
+    # gathers and compactions or the distance temporaries pile up
     points = generate_poisson(5.0, Region(40.0, 40.0), seed=3)
     graph, build_peak = _traced_peak(build_graph, points, 1.0)
     edge_bytes = graph.edges.nbytes
