@@ -213,9 +213,7 @@ def _cmd_estimate(args) -> int:
         raise ValueError(f"--width must be positive, got {args.width}")
     shared = {"side": args.side, "radius": args.radius, "trials": args.trials}
     if args.estimate_command == "lambda-c":
-        bracket = (args.bracket_low, args.bracket_high)
-        estimate = functools.partial(estimate_lambda_c, bracket=bracket)
-        params = {**shared, "bracket": list(bracket)}
+        estimate, params = estimate_lambda_c, shared
     else:
         estimate = functools.partial(estimate_qc, args.lam)
         params = {"lambda": args.lam, **shared}
@@ -295,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     ep = esub.add_parser("lambda-c")
     _add(ep, "--side", "--radius")
     ep.add_argument("--trials", type=int, default=200)
-    ep.add_argument("--bracket-low", type=float, default=1.0)
-    ep.add_argument("--bracket-high", type=float, default=2.0)
     _add(ep, "--width", "--seed", "--out")
     ep = esub.add_parser("qc")
     _add(ep, "--lambda", "--side", "--radius")

@@ -77,9 +77,10 @@ KINDS = ("percolation-sweep", "failure-sweep", "cascade-trial")
 PROXIES = ("crossing", "giant-fraction")
 SEEDINGS = ("random-node", "adjacent-to-largest-vulnerable-component")
 COUNT_MODES = ("poisson", "fixed")
+# The giant-fraction proxy: the largest component holds this share of the nodes.
+GIANT_FRACTION = 0.1
 
-# The fields each kind reads; a sweep also reads giant_threshold with the
-# giant-fraction proxy. Every other field must keep its default.
+# The fields each kind reads; every other field must keep its default.
 _COMMON_FIELDS = ("kind", "width", "height", "boundary", "radius", "trials", "base_seed")
 READS = {
     "percolation-sweep": _COMMON_FIELDS + ("lambdas", "proxy"),
@@ -102,7 +103,6 @@ class ExperimentConfig:
     trials: int = 100
     base_seed: int = 0
     proxy: str = "crossing"
-    giant_threshold: float = 0.1
     count_mode: str = "poisson"
     n: int | None = None
     region: Region = field(init=False, repr=False, compare=False)
@@ -110,8 +110,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        numbers = {"width": self.width, "height": self.height, "radius": self.radius,
-                   "giant_threshold": self.giant_threshold}
+        numbers = {"width": self.width, "height": self.height, "radius": self.radius}
         numbers.update((f"lambdas[{i}]", lam) for i, lam in enumerate(self.lambdas))
         for name, value in numbers.items():
             if not math.isfinite(value):
@@ -119,8 +118,6 @@ class ExperimentConfig:
         for i, lam in enumerate(self.lambdas):
             if lam < 0:
                 raise ValueError(f"lambdas[{i}] must be non-negative, got {lam}")
-        if not 0 < self.giant_threshold <= 1:
-            raise ValueError(f"giant_threshold must be in (0, 1], got {self.giant_threshold}")
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         object.__setattr__(self, "region", Region(self.width, self.height, self.boundary))
@@ -145,11 +142,10 @@ class ExperimentConfig:
             if len(self.lambdas) + (self.n is not None) != 1:
                 raise ValueError("cascade-trial takes one lambda or an n, got lambdas="
                                  f"{list(self.lambdas)} and n={self.n}")
-        reads = READS[self.kind] + (("giant_threshold",) if self.proxy == "giant-fraction" else ())
+        reads = READS[self.kind]
         for f in fields(self):
             if f.init and f.name not in reads and getattr(self, f.name) not in (f.default, (), []):
-                mode = f" with proxy {self.proxy!r}" if f.name == "giant_threshold" else ""
-                raise ValueError(f"{f.name} is not read by kind {self.kind!r}{mode}")
+                raise ValueError(f"{f.name} is not read by kind {self.kind!r}")
         if (self.count_mode == "fixed") != (self.n is not None):
             raise ValueError("count_mode is 'fixed' exactly when n is given, got count_mode "
                              f"{self.count_mode!r} with n={self.n}")
@@ -302,7 +298,7 @@ def _proxy_indicator(config: ExperimentConfig, graph: SpatialGraph, alive: np.nd
     if config.proxy == "crossing":
         return 1.0 if crosses(graph, alive) else 0.0
     labeling = components(graph, alive)
-    return 1.0 if labeling.largest_size >= config.giant_threshold * len(graph) else 0.0
+    return 1.0 if labeling.largest_size >= GIANT_FRACTION * len(graph) else 0.0
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
@@ -414,6 +410,12 @@ class BisectionResult:
 # both below 1.25 LAMBDA_C = 1.794, so no trial there builds its whole graph.
 _SURVIVOR_DENSITY = 1.25 * LAMBDA_C
 
+# estimate_lambda_c's bracket, in units of radius**-2. On the sides of at least
+# 50 radii that _estimator_trials enforces, the largest per-trial lambda* r**2
+# seen is 1.761 (see _SURVIVOR_DENSITY); a trial that crosses only above the
+# upper end has lambda* = +inf, which the empirical CDF handles.
+_LAMBDA_C_BRACKET = (1.0, 2.0)
+
 
 def _trial_critical_qs(config: ExperimentConfig) -> np.ndarray:
     """q* of the trial graph at config.lambdas[0] per trial, in trial order,
@@ -490,22 +492,21 @@ def estimate_lambda_c(
     radius: float = 1.0,
     trials: int = 200,
     base_seed: int = 0,
-    bracket: tuple[float, float] = (1.0, 2.0),
     target_width: float = 0.02,
 ) -> BisectionResult:
     """Bisect the density at which the left-right crossing probability is 1/2.
 
-    Each trial builds one graph at lam_max = bracket[1]. Independent failure
+    Each trial builds one graph at lam_max = 2/radius**2. Independent failure
     with q = 1 - lam/lam_max thins it to exactly a density-lam Poisson graph,
     so the trial crosses at lam iff lam >= lam* = lam_max (1 - q*). The region
     side must be at least 50 radii; the returned interval has width at most
     target_width and brackets the empirical transition point.
     """
-    lo, hi = bracket
-    if not lo < hi:
-        raise ValueError(f"bracket {bracket} is not an interval")
-    if not hi > 0:
-        raise ValueError(f"bracket {bracket} must have a positive upper end")
+    # _estimator_trials names a radius that is not positive
+    lo, hi = (end / radius / radius if radius > 0 else end for end in _LAMBDA_C_BRACKET)
+    if not (lo > 0 and hi < math.inf):
+        raise ValueError(f"radius {radius} puts the density bracket {_LAMBDA_C_BRACKET} / "
+                         f"radius**2 outside the float range, at ({lo}, {hi})")
     q_star = _estimator_trials(hi, side, radius, trials, base_seed, target_width)
     return _bisect(hi * (1.0 - q_star), lo, hi, target_width, True, base_seed)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,8 @@ def generate_poisson(lam: float, region: Region, seed: int) -> PointSet:
     """Poisson(lam * area) point count, then uniform placement; deterministic given seed."""
     if not lam >= 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
-    # a Python float overflows to inf without numpy's warning
-    mean = float(lam) * region.area
+    # an int or a product past the float range is inf, without numpy's warning
+    mean = float(lam) * region.area if lam <= sys.float_info.max else np.inf
     gen = generator_from_seed(seed)
     try:
         # numpy refuses a mean past about 9.2e18, inf included

@@ -121,7 +121,7 @@ def _as_is(value, name: str | None = None):
 # Per config field: its reader from JSON and its writer to JSON; any other field is
 # stored as is, and ExperimentConfig checks it.
 _FIELD_READERS = {
-    "width": _number, "height": _number, "radius": _number, "giant_threshold": _number,
+    "width": _number, "height": _number, "radius": _number,
     "trials": _integer, "base_seed": _integer, "n": _integer,
     "lambdas": _tuple_of(_number),
     "rules": _tuple_of(lambda text, name: parse_rule(_typed(text, name, str, "a string"))),

@@ -40,6 +40,13 @@ from test_acceptance import HEAVY_LOW, NEAR_ONE
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
+# giant_threshold is no longer a config field: io's unknown-key check names it.
+GIANT_THRESHOLD_UNKNOWN = (
+    "unknown config key(s) ['giant_threshold']; expected a subset of ['kind', 'radius', "
+    "'lambdas', 'rules', 'distribution', 'seeding', 'trials', 'base_seed', 'proxy', "
+    "'count_mode', 'n', 'region']"
+)
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -67,8 +74,9 @@ NON_FINITE_FLAG_CASES = [
     ("--side", ["estimate", "lambda-c", "--side", "inf", "--trials", "2"]),
     ("--radius", ["estimate", "lambda-c", "--radius", "nan", "--trials", "2"]),
     ("--width", ["estimate", "lambda-c", "--width", "nan", "--trials", "2"]),
-    ("--bracket-low", ["estimate", "lambda-c", "--bracket-low", "nan", "--trials", "2"]),
-    ("--bracket-high", ["estimate", "lambda-c", "--bracket-high", "inf", "--trials", "2"]),
+    # -inf is named as non-finite, not as non-positive
+    ("--radius", ["estimate", "lambda-c", "--radius=-inf", "--trials", "2"]),
+    ("--width", ["estimate", "lambda-c", "--width=-inf", "--trials", "2"]),
     ("--lambda", ["estimate", "qc", "--lambda", "nan", "--trials", "2"]),
     ("--lambda", ["theory", "critical-q", "--lambda", "1e400"]),
     ("--width", ["estimate", "qc", "--lambda", "2.87", "--width", "nan", "--trials", "2"]),
@@ -159,7 +167,7 @@ def test_sweep_rejects_estimator_kind_up_front(tmp_path, capsys):
         ("height", math.nan, "height"),
         ("radius", math.nan, "radius"),
         ("lambdas", [1.0, math.nan], "lambdas[1]"),
-        ("giant_threshold", math.nan, "giant_threshold"),
+        ("lambdas", [1.0, -math.inf], "lambdas[1]"),  # non-finite before negative
         ("lambdas", ["x"], "lambdas[0]"),
         pytest.param("radius", 10**400, "radius", id="radius-int-past-float-range"),
     ],
@@ -189,7 +197,6 @@ def test_sweep_config_non_finite_field_rejected_by_name(tmp_path, capsys, field,
         ("rules", [5], "rules[0] must be a string"),
         ("distribution", 5, "distribution must be a string"),
         ("radius", "1.0", "radius must be a finite number"),
-        ("giant_threshold", True, "giant_threshold must be a finite number"),
     ],
 )
 def test_sweep_config_wrong_json_type_rejected_by_name(tmp_path, capsys, field, value, message):
@@ -239,9 +246,10 @@ def test_sweep_config_bad_integer_field_rejected_by_name(tmp_path, capsys, field
      ({"kind": "cascade-trial", "distribution": "pieces:0,1,1", "proxy": "giant-fraction"},
       "proxy is not read by kind 'cascade-trial'"),
      ({"kind": "cascade-trial", "distribution": "pieces:0,1,1", "giant_threshold": 0.5},
-      "giant_threshold is not read by kind 'cascade-trial'"),
-     ({"giant_threshold": 0.5},
-      "giant_threshold is not read by kind 'percolation-sweep' with proxy 'crossing'"),
+      GIANT_THRESHOLD_UNKNOWN),
+     ({"giant_threshold": 0.5}, GIANT_THRESHOLD_UNKNOWN),
+     ({"giant_threshold": math.nan}, GIANT_THRESHOLD_UNKNOWN),
+     ({"giant_threshold": True}, GIANT_THRESHOLD_UNKNOWN),
      ({"count_mode": "fixed"}, "count_mode is not read by kind 'percolation-sweep'"),
      ({"kind": "cascade-trial", "distribution": "pieces:0,1,1", "count_mode": "fixed"},
       "count_mode is 'fixed' exactly when n is given, got count_mode 'fixed' with n=None"),
@@ -251,7 +259,8 @@ def test_sweep_config_bad_integer_field_rejected_by_name(tmp_path, capsys, field
          "distribution-on-percolation", "distribution-on-failure-sweep",
          "seeding-on-percolation", "seeding-on-failure-sweep",
          "proxy-on-cascade-trial", "giant-threshold-on-cascade-trial",
-         "giant-threshold-with-crossing", "fixed-count-sweep", "fixed-count-without-n",
+         "giant-threshold-with-crossing", "giant-threshold-non-finite",
+         "giant-threshold-wrong-type", "fixed-count-sweep", "fixed-count-without-n",
          "crossing-on-torus"],
 )
 def test_sweep_config_ignored_field_rejected_by_name(tmp_path, capsys, extra, message):
@@ -272,9 +281,9 @@ def test_sweep_config_ignored_field_rejected_by_name(tmp_path, capsys, extra, me
     [({"lambdas": [3.0, 3.0, -1.0]}, "lambdas[2] must be non-negative, got -1.0"),
      ({"region": {"height": 15}}, "width must be a finite number, got None"),
      ({"region": {"width": 15}}, "height must be a finite number, got None"),
-     ({"giant_threshold": -5}, "giant_threshold must be in (0, 1], got -5.0"),
-     ({"giant_threshold": 0}, "giant_threshold must be in (0, 1], got 0.0"),
-     ({"giant_threshold": 7, "lambdas": [3.0]}, "giant_threshold must be in (0, 1], got 7.0"),
+     ({"giant_threshold": -5}, GIANT_THRESHOLD_UNKNOWN),
+     ({"giant_threshold": 0}, GIANT_THRESHOLD_UNKNOWN),
+     ({"giant_threshold": 7, "lambdas": [3.0]}, GIANT_THRESHOLD_UNKNOWN),
      ({"kind": "cascade-trial", "distribution": "pieces:0,1,1", "lambdas": [2.0, 7.0]},
       "cascade-trial takes one lambda or an n, got lambdas=[2.0, 7.0] and n=None"),
      ({"count_mode": "fixed", "n": 300, "lambdas": [0.5, 3.0]},
@@ -448,14 +457,34 @@ def test_seed_outside_64_bits_is_one_error_line(capsys, argv, seed):
     assert err == f"error: --seed must be in [0, 2**64), got {seed}\n", err
 
 
-@pytest.mark.parametrize("low, high", [("-1", "0"), ("-2", "-1")])
-def test_estimate_lambda_c_non_positive_bracket_is_one_error_line(capsys, low, high):
-    code, out, err = run_cli(capsys, "estimate", "lambda-c", "--bracket-low", low,
-                             "--bracket-high", high, "--seed", "1", "--trials", "2")
+@pytest.mark.parametrize("flag", ["--bracket-low", "--bracket-high"])
+def test_estimate_lambda_c_bracket_flags_are_unrecognized(capsys, flag):
+    # the bracket follows the radius, so it is no longer an input
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "lambda-c", flag, "1.5", "--seed", "1", "--trials", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {flag} 1.5\n" in captured.err
+
+
+@pytest.mark.parametrize(
+    "radius, side, message",
+    [("0", "50", "radius must be positive, got 0.0"),
+     ("-1", "50", "radius must be positive, got -1.0"),
+     # the bracket (1, 2) / radius**2 would be (inf, inf) and (0, 0)
+     ("1e-200", "50", "radius 1e-200 puts the density bracket (1.0, 2.0) / radius**2 "
+                      "outside the float range, at (inf, inf)"),
+     ("1e200", "1e203", "radius 1e+200 puts the density bracket (1.0, 2.0) / radius**2 "
+                        "outside the float range, at (0.0, 0.0)")],
+    ids=["zero", "negative", "tiny", "huge"],
+)
+def test_estimate_lambda_c_extreme_radius_is_one_error_line(capsys, radius, side, message):
+    code, out, err = run_cli(capsys, "estimate", "lambda-c", "--radius", radius, "--side", side,
+                             "--seed", "1", "--trials", "2")
     assert code == 1
     assert out == ""
-    assert err == (f"error: bracket ({float(low)}, {float(high)}) "
-                   "must have a positive upper end\n"), err
+    assert err == f"error: {message}\n", err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import pathlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -21,6 +23,7 @@ from geoperc.failures import (
 from geoperc.experiments import (
     BisectionResult,
     ExperimentConfig,
+    _bisect,
     _median_ci_rank,
     _proxy_indicator,
     _trial_critical_qs,
@@ -101,7 +104,7 @@ def test_config_round_trip():
     for cfg3 in (
         ExperimentConfig(kind="percolation-sweep", width=12.0, height=9.0, boundary="torus",
                          radius=1.5, lambdas=(0.5, 3.0), trials=3, base_seed=4,
-                         proxy="giant-fraction", giant_threshold=0.25),
+                         proxy="giant-fraction"),
         ExperimentConfig(kind="cascade-trial", width=15.0, height=15.0, lambdas=(7.0,),
                          distribution=HEAVY_LOW, seeding="adjacent-to-largest-vulnerable-component"),
         *(config_from_dict(load_json(str(path))) for path in examples),
@@ -155,6 +158,12 @@ def test_config_defaults_live_only_in_the_dataclass(kind):
         patch.setattr(geoperc.io, "ExperimentConfig", Recording)
         config_from_dict(doc)
     assert passed == [{"kind", "width", "height", *given}]
+
+
+def test_every_config_field_is_read_by_some_kind():
+    # a field that no kind reads could only ever hold its default
+    read = {name for names in experiments.READS.values() for name in names}
+    assert {f.name for f in dataclasses.fields(ExperimentConfig) if f.init} <= read
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -333,14 +342,27 @@ def test_failure_sweep_replays_from_lambda_trial_seeds(proxy):
 def test_estimate_lambda_c_validates_inputs():
     with pytest.raises(ValueError):
         estimate_lambda_c(side=20.0)
-    with pytest.raises(ValueError):
-        estimate_lambda_c(bracket=(2.0, 1.0))
-    for bracket in ((-1.0, 0.0), (-2.0, -1.0)):
-        with pytest.raises(ValueError, match=r"bracket .* must have a positive upper end"):
-            estimate_lambda_c(trials=2, base_seed=1, bracket=bracket)
-    with pytest.raises(ValueError):
-        # both endpoints deep in the supercritical phase cannot bracket
-        estimate_lambda_c(side=50.0, trials=10, base_seed=1, bracket=(2.5, 3.0))
+    for radius, message in ((0.0, r"radius must be positive, got 0\.0$"),
+                            (-1.0, r"radius must be positive, got -1\.0$"),
+                            (math.nan, r"region side 50\.0 must be at least 50 radii \(nan\)$")):
+        with pytest.raises(ValueError, match=message):
+            estimate_lambda_c(radius=radius, trials=2, base_seed=1)
+    # the bracket (1, 2) / radius**2 leaves the float range: one error naming
+    # the radius, not a ZeroDivisionError, OverflowError or Poisson count error
+    for side, radius in ((50.0, 1e-200), (1e203, 1e200)):
+        with pytest.raises(ValueError, match="^" + re.escape(f"radius {radius} puts the density")):
+            estimate_lambda_c(side=side, radius=radius, trials=2, base_seed=1)
+
+
+@pytest.mark.parametrize(
+    "values, lo, hi, rising",
+    # every trial crosses only above hi; no trial crosses even intact
+    [([2.5, 3.0, math.inf], 1.0, 2.0, True), ([-math.inf] * 3, 0.0, 1.0, False)],
+    ids=["rising", "falling"],
+)
+def test_bisect_rejects_a_bracket_that_does_not_straddle(values, lo, hi, rising):
+    with pytest.raises(ValueError, match="initial bracket does not straddle"):
+        _bisect(np.array(values), lo, hi, 0.02, rising, 1)
 
 
 def test_estimate_qc_validates_inputs():
@@ -365,7 +387,7 @@ def test_estimators_depend_on_lambda_radius_squared_only():
             == estimate_qc(4.0, side=50.0, trials=30, base_seed=11))
     unit = estimate_lambda_c(trials=40, base_seed=11)
     scaled = estimate_lambda_c(side=100.0, radius=2.0, trials=40, base_seed=11,
-                               bracket=(0.25, 0.5), target_width=0.005)
+                               target_width=0.005)
     assert scaled.critical_values == tuple(v / 4 for v in unit.critical_values)
     assert scaled.evaluations == tuple((x / 4, p) for x, p in unit.evaluations)
     assert (scaled.low, scaled.high) == (unit.low / 4, unit.high / 4)

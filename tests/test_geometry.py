@@ -52,9 +52,13 @@ def test_generate_poisson_empty():
     assert len(pts) == 0
 
 
-@pytest.mark.parametrize("lam", [np.nan, -1.0, -np.inf])
+@pytest.mark.parametrize(
+    "lam", [np.nan, -1.0, -np.inf, pytest.param(10**400, id="int-past-float-range")]
+)
 def test_generate_poisson_rejects_bad_lambda_by_name(lam):
-    with pytest.raises(ValueError, match=r"^lambda must be non-negative, got "):
+    # an int past the float range gives an infinite mean, not an OverflowError
+    with pytest.raises(ValueError, match=r"^lambda (must be non-negative, got "
+                                         r"|\d+ times area 25\.0 gives inf expected points)"):
         generate_poisson(lam, Region(5.0, 5.0), seed=1)
 
 
