@@ -52,6 +52,7 @@ import math
 import os
 import pickle
 import signal
+import threading
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
@@ -210,8 +211,9 @@ _MIN_TRIALS_PER_WORKER = 8
 def _worker_count(trials: int) -> int:
     """Processes a batch of trials runs on: one per CPU the process may use,
     at most one per _MIN_TRIALS_PER_WORKER trials, and one where the platform
-    reports no affinity mask."""
-    if not hasattr(os, "sched_getaffinity"):
+    reports no affinity mask or the process runs other threads, since a fork
+    there can deadlock on a lock another thread held."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), trials // _MIN_TRIALS_PER_WORKER))
 
@@ -500,7 +502,8 @@ def estimate_lambda_c(
     with q = 1 - lam/lam_max thins it to exactly a density-lam Poisson graph,
     so the trial crosses at lam iff lam >= lam* = lam_max (1 - q*). The region
     side must be at least 50 radii; the returned interval has width at most
-    target_width and brackets the empirical transition point.
+    target_width / radius**2, in the bracket's units, and brackets the
+    empirical transition point.
     """
     # _estimator_trials names a radius that is not positive
     lo, hi = (end / radius / radius if radius > 0 else end for end in _LAMBDA_C_BRACKET)
@@ -508,7 +511,7 @@ def estimate_lambda_c(
         raise ValueError(f"radius {radius} puts the density bracket {_LAMBDA_C_BRACKET} / "
                          f"radius**2 outside the float range, at ({lo}, {hi})")
     q_star = _estimator_trials(hi, side, radius, trials, base_seed, target_width)
-    return _bisect(hi * (1.0 - q_star), lo, hi, target_width, True, base_seed)
+    return _bisect(hi * (1.0 - q_star), lo, hi, target_width / radius / radius, True, base_seed)
 
 
 def estimate_qc(

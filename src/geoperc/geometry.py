@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -81,10 +82,19 @@ def generate_uniform(n: int, region: Region, seed: int) -> PointSet:
     return _place(n, region, generator_from_seed(seed))
 
 
+def _text(value) -> str:
+    """str(value), or its order of magnitude for an int with more digits than
+    Python converts to text."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"about {'-' if value < 0 else ''}1e{math.log10(abs(value)):.0f}"
+
+
 def generate_poisson(lam: float, region: Region, seed: int) -> PointSet:
     """Poisson(lam * area) point count, then uniform placement; deterministic given seed."""
     if not lam >= 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
+        raise ValueError(f"lambda must be non-negative, got {_text(lam)}")
     # an int or a product past the float range is inf, without numpy's warning
     mean = float(lam) * region.area if lam <= sys.float_info.max else np.inf
     gen = generator_from_seed(seed)
@@ -93,7 +103,7 @@ def generate_poisson(lam: float, region: Region, seed: int) -> PointSet:
         count = int(gen.poisson(mean))
     except ValueError:
         raise ValueError(
-            f"lambda {lam} times area {region.area} gives {mean} expected points,"
+            f"lambda {_text(lam)} times area {region.area} gives {mean} expected points,"
             " more than a Poisson point count can hold"
         ) from None
     return _place(count, region, gen)

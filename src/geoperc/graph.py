@@ -2,18 +2,24 @@
 
 Adjacency is built on a grid of cells at least the connection radius wide, so
 candidate pairs only come from 3x3 cell neighborhoods and follow the density
-of the points wherever they sit. In cell order each occupied cell is one run
-of contiguous points, so each point pairs with contiguous ranges: the later
-points of its own run, then the whole run at each half-offset of its 3x3
-neighborhood (empty past an open box, the wrapped cell on a torus). The runs
-are found once, and each neighbor run once per occupied cell by binary search
-over the runs' cell ids; its points share the result. Two nodes are adjacent
-iff their distance is <= radius (ties included), using the wrap-around metric
-on a torus region.
+of the points wherever they sit. A cell's padded id is iy * (ncx + 2) + ix + 1:
+an empty column on each side and an empty row on top, so each half-offset of
+a cell is its id plus a constant. In cell order each cell's points are
+contiguous, so each point pairs with contiguous ranges: the later points of
+its own cell, then the whole cell at each half-offset of its 3x3 neighborhood
+(a padding cell, empty past an open box, holds the wrapped cell's range on a
+torus). On a grid of at most 4n + 64 padded cells every range is read from one
+table indexed by the padded id, filled by one bincount and one cumsum, as in
+the cell lists of Allen & Tildesley (Computer Simulation of Liquids, 1987).
+Only a grid much larger than n, as in a huge sparse region, would not fit that
+table; there the occupied cells are found as runs, and each neighbor run once
+per occupied cell by binary search over the runs' cell ids. Two nodes are
+adjacent iff their distance is <= radius (ties included), using the
+wrap-around metric on a torus region.
 
 The graph is its edge list and degrees, nothing more. The candidates within
-radius become one key ``min(a, b) * n + max(a, b)`` per edge. One sort of
-those keys gives ``edges``, rows u < v in lexicographic order stored column by
+radius become one key ``min(a, b) << bits | max(a, b)`` per edge, with bits
+the bit length of n - 1 (at least 1). One sort of those keys gives ``edges``, rows u < v in lexicographic order stored column by
 column, so the u and v columns are contiguous arrays; ``degrees`` counts both
 ends. Only a torus with fewer than 3 cells on an axis can revisit a cell pair,
 so only there are the keys deduplicated. Every per-node count over neighbors
@@ -44,9 +50,9 @@ size of the edge list alive: ``build_graph`` computes distances and keys in
 place and frees each candidate chunk's arrays before it makes the next
 chunk's, sorts the keys in place, and splits them into one (2, E) buffer whose
 transpose is ``edges``. Cells are sorted by a key of the narrowest unsigned
-type that holds every cell id; on grids of at most 2**16 cells numpy's stable
-sort is then a radix sort, 10x faster at 5k points, and a stable sort of the
-same keys gives the same permutation.
+type that holds every padded cell id; on grids of at most 2**16 padded cells
+numpy's stable sort is then a radix sort, 10x faster at 5k points, and a
+stable sort of the same keys gives the same permutation.
 """
 
 from __future__ import annotations
@@ -97,32 +103,64 @@ def _range_pairs(lo, hi):
     return left, right
 
 
-def _candidate_pairs(cell, ix, iy, ncx, ncy, torus):
+def _cell_table(cell, ncx, ncy, torus):
+    """Rows [start, end) of every padded cell's points, given the sorted
+    padded cell id of each point. Past an open box the padding cells hold no
+    points; on a torus they hold the ranges of the cells they wrap onto."""
+    counts = np.bincount(cell, minlength=(ncx + 2) * (ncy + 1))
+    table = np.empty((2, len(counts)), dtype=np.int64)
+    np.cumsum(counts, out=table[1])
+    np.subtract(table[1], counts, out=table[0])
+    if torus:
+        grid = table.reshape(2, ncy + 1, ncx + 2)
+        grid[:, :ncy, 0] = grid[:, :ncy, ncx]
+        grid[:, :ncy, ncx + 1] = grid[:, :ncy, 1]
+        grid[:, ncy] = grid[:, 0]
+    return table
+
+
+def _candidate_pairs(cell, ncx, ncy, torus):
     """Cell-sorted positions of candidate pairs: each point with the later
-    points of its own cell, then with the whole cell at each half-offset."""
+    points of its own cell, then with the whole cell at each half-offset.
+
+    cell holds each point's padded cell id in sorted order. A grid of at most
+    4n + 64 padded cells reads every range from ``_cell_table`` by the id.
+    A larger grid searches the neighbor among the occupied cells instead, once
+    per occupied cell. That path exists only because the table of a huge
+    sparse grid would not fit in memory, while cells coarse enough for it would
+    pair every point of a dense patch with all the others."""
+    n = len(cell)
+    stride = ncx + 2
+    # on a 1-cell torus axis a step wraps onto the cell itself, whose pairs
+    # the own-cell ranges already have
+    steps = [dy * stride + dx for dx, dy in _HALF_OFFSETS
+             if not (torus and (dx == 0 or ncx == 1) and (dy == 0 or ncy == 1))]
+    if stride * (ncy + 1) <= 4 * n + 64:
+        start, end = _cell_table(cell, ncx, ncy, torus)
+        yield _range_pairs(np.arange(1, n + 1), end[cell])
+        for step in steps:
+            nid = cell + step
+            yield _range_pairs(start[nid], end[nid])
+        return
     # one run of equal ids per occupied cell; run[i] is point i's run
     first = np.diff(cell, prepend=-1) != 0
     start = np.flatnonzero(first)
-    end = np.append(start[1:], len(cell))
+    end = np.append(start[1:], n)
     run = np.cumsum(first) - 1
-    yield _range_pairs(np.arange(1, len(cell) + 1), end[run])
-    rcell, rx, ry = cell[start], ix[start], iy[start]
-    for dx, dy in _HALF_OFFSETS:
-        nx = rx + dx
-        ny = ry + dy
+    yield _range_pairs(np.arange(1, n + 1), end[run])
+    rcell = cell[start]
+    for step in steps:
+        nid = rcell + step
         if torus:
-            # a step past one edge enters at the other; on a 1-cell axis that
-            # is the cell itself, whose pairs the own-cell ranges already have
-            nx[nx == ncx] = 0
-            nx[nx < 0] = ncx - 1
-            ny[ny == ncy] = 0
-            valid = (nx != rx) | (ny != ry)
-        else:
-            valid = (nx >= 0) & (nx < ncx) & (ny < ncy)
-        nid = ny * ncx + nx
+            # a padding cell stands for the cell it wraps onto
+            col = nid % stride
+            nid[col == 0] += ncx
+            nid[col == ncx + 1] -= ncx
+            nid[nid >= ncy * stride] -= ncy * stride
         pos = np.minimum(np.searchsorted(rcell, nid), len(rcell) - 1)
-        # an invalid or unoccupied neighbor gives an empty range
-        hit = valid & (rcell[pos] == nid)
+        # an unoccupied neighbor, a padding cell off a torus included, gives
+        # an empty range
+        hit = rcell[pos] == nid
         yield _range_pairs(np.where(hit, start[pos], 0)[run], np.where(hit, end[pos], 0)[run])
 
 
@@ -133,21 +171,26 @@ def build_graph(points: PointSet, radius: float = 1.0) -> SpatialGraph:
     region = points.region
     n = len(points)
     torus = region.boundary == TORUS
-    # at most 2**31 cells per axis keep cell ids within int64; fewer cells
-    # are only larger, which the 3x3 scan still covers
+    # at most 2**31 cells per axis keep padded cell ids within int64; fewer
+    # cells are only larger, which the 3x3 scan still covers
     ncx = max(1, int(min(region.width / radius, 2**31)))
     ncy = max(1, int(min(region.height / radius, 2**31)))
     coords = points.coordinates
     ix = np.minimum((coords[:, 0] * (ncx / region.width)).astype(np.int64), ncx - 1)
     iy = np.minimum((coords[:, 1] * (ncy / region.height)).astype(np.int64), ncy - 1)
-    cell = iy * ncx + ix
+    # padded ids: one empty column on each side and one row on top, so every
+    # half-offset of a cell is the cell's id plus a constant
+    cell = iy * (ncx + 2) + ix + 1
+    del ix, iy
 
-    order = np.argsort(cell.astype(np.min_scalar_type(ncx * ncy - 1)), kind="stable")
+    order = np.argsort(cell.astype(np.min_scalar_type((ncx + 2) * (ncy + 1) - 1)), kind="stable")
     x, y = coords[order].T.copy()
 
     r2 = radius * radius
+    # keys min(a, b) << bits | max(a, b) sort lexicographically
+    bits = max(1, (n - 1).bit_length())
     keys = []
-    for left, right in _candidate_pairs(cell[order], ix[order], iy[order], ncx, ncy, torus):
+    for left, right in _candidate_pairs(cell[order], ncx, ncy, torus):
         # squared distances in place; off a torus squaring drops the sign
         dx = x[left]
         dx -= x[right]
@@ -168,8 +211,8 @@ def build_graph(points: PointSet, radius: float = 1.0) -> SpatialGraph:
         b = order[right[close]]
         del left, right, close
         key = np.minimum(a, b)
-        key *= n
-        key += np.maximum(a, b, out=b)
+        key <<= bits
+        key |= np.maximum(a, b, out=b)
         keys.append(key)
         del a, b
     key = np.concatenate(keys)
@@ -181,7 +224,8 @@ def build_graph(points: PointSet, radius: float = 1.0) -> SpatialGraph:
         key.sort()
 
     pair = np.empty((2, len(key)), dtype=np.int64)
-    np.divmod(key, n, out=(pair[0], pair[1]))
+    np.right_shift(key, bits, out=pair[0])
+    np.bitwise_and(key, (1 << bits) - 1, out=pair[1])
     del key
     degrees = np.bincount(pair[0], minlength=n) + np.bincount(pair[1], minlength=n)
     return SpatialGraph(points, float(radius), pair.T, degrees)

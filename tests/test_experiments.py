@@ -386,8 +386,7 @@ def test_estimators_depend_on_lambda_radius_squared_only():
     assert (estimate_qc(1.0, side=100.0, radius=2.0, trials=30, base_seed=11)
             == estimate_qc(4.0, side=50.0, trials=30, base_seed=11))
     unit = estimate_lambda_c(trials=40, base_seed=11)
-    scaled = estimate_lambda_c(side=100.0, radius=2.0, trials=40, base_seed=11,
-                               target_width=0.005)
+    scaled = estimate_lambda_c(side=100.0, radius=2.0, trials=40, base_seed=11)
     assert scaled.critical_values == tuple(v / 4 for v in unit.critical_values)
     assert scaled.evaluations == tuple((x / 4, p) for x, p in unit.evaluations)
     assert (scaled.low, scaled.high) == (unit.low / 4, unit.high / 4)

@@ -53,12 +53,17 @@ def test_generate_poisson_empty():
 
 
 @pytest.mark.parametrize(
-    "lam", [np.nan, -1.0, -np.inf, pytest.param(10**400, id="int-past-float-range")]
+    "lam", [np.nan, -1.0, -np.inf, pytest.param(10**400, id="int-past-float-range"),
+            pytest.param(10**5000, id="int-past-str-limit"),
+            pytest.param(-10**5000, id="negative-int-past-str-limit")]
 )
 def test_generate_poisson_rejects_bad_lambda_by_name(lam):
-    # an int past the float range gives an infinite mean, not an OverflowError
+    # an int past the float range gives an infinite mean, not an OverflowError;
+    # one with more digits than Python converts to text is named by its order
+    # of magnitude
     with pytest.raises(ValueError, match=r"^lambda (must be non-negative, got "
-                                         r"|\d+ times area 25\.0 gives inf expected points)"):
+                                         r"|(\d+|about 1e5000) times area 25\.0 gives inf "
+                                         r"expected points)"):
         generate_poisson(lam, Region(5.0, 5.0), seed=1)
 
 

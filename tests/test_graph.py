@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from geoperc.geometry import OPEN_BOX, TORUS, PointSet, Region, generate_poisson, generate_uniform
 from geoperc.graph import (
+    _cell_table,
     _component_roots,
     _range_pairs,
     build_graph,
@@ -85,11 +86,13 @@ def test_tiny_grids_canonical_layout(cells, boundary):
         _assert_canonical_layout(build_graph(pts, 1.0), pts, 1.0)
 
 
-@pytest.mark.parametrize("cells", [(16, 16), (16, 17), (256, 256), (256, 257)],
+@pytest.mark.parametrize("cells", [(14, 15), (15, 15), (254, 255), (255, 255)],
                          ids=["uint8", "uint16-small", "uint16", "uint32"])
 def test_cell_sort_key_type_boundaries(cells):
     # radius 1 gives int(side) cells per axis; cells sort by a key of the
-    # narrowest unsigned type holding the largest id: 255, 271, 65535, 65791
+    # narrowest unsigned type holding every padded id, up to
+    # (ncx + 2) * (ncy + 1) - 1: 255, 271, 65535, 65791; the first two grids
+    # read the cell table, the last two search the occupied cells
     width, height = cells[0] + 0.5, cells[1] + 0.5
     rng = np.random.default_rng(sum(cells))
     spread = rng.random((150, 2)) * (width, height)
@@ -97,6 +100,46 @@ def test_cell_sort_key_type_boundaries(cells):
     corner = (width, height) - 4.0 * (1.0 - rng.random((150, 2)))
     g = _graph_from_coords(np.vstack((spread, corner)), width, height)
     _assert_canonical_layout(g, g.points, 1.0)
+
+
+# (cells per axis at radius 1, point count, path): a grid of at most 4n + 64
+# padded cells, (ncx + 2) * (ncy + 1), reads the cell table, a larger one
+# searches the occupied cells; each pair sits on either side of that bound
+CANDIDATE_PATH_CASES = [
+    ((20, 20), 100, "table"),  # 462 of 464
+    ((21, 21), 100, "search"),  # 506
+    ((1, 47), 20, "table"),  # 144 of 144
+    ((1, 48), 20, "search"),  # 147
+    ((70, 1), 20, "table"),  # 144
+    ((71, 1), 20, "search"),  # 146
+    ((2, 35), 20, "table"),  # 144
+    ((2, 36), 20, "search"),  # 148
+]
+
+
+@pytest.mark.parametrize("boundary", [OPEN_BOX, TORUS])
+@pytest.mark.parametrize("cells, n, path", CANDIDATE_PATH_CASES,
+                         ids=[f"{c[0]}x{c[1]}-{path}" for c, _, path in CANDIDATE_PATH_CASES])
+def test_both_candidate_paths_match_brute_force(monkeypatch, cells, n, path, boundary):
+    tables = []
+
+    def counting_cell_table(*args):
+        tables.append(args)
+        return _cell_table(*args)
+
+    monkeypatch.setattr("geoperc.graph._cell_table", counting_cell_table)
+    size = np.array(cells) + 0.5
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        # half the points sit within radius of a partner, across the region's
+        # edges and corners for some of them
+        base = rng.uniform(-1.0, 1.0, size=(n // 2, 2)) % size
+        base[n // 4:] = rng.uniform(0.0, 1.0, size=(n // 2 - n // 4, 2)) * size
+        coords = np.vstack((base, (base + rng.uniform(-0.7, 0.7, size=base.shape)) % size))
+        pts = PointSet(coords, Region(*size, boundary))
+        tables.clear()
+        _assert_canonical_layout(build_graph(pts, 1.0), pts, 1.0)
+        assert len(tables) == (path == "table")
 
 
 @settings(max_examples=20)
@@ -282,7 +325,7 @@ def _traced_peak(func, *args):
 
 def test_graph_layer_peak_memory_guard():
     # numpy reports its buffers to tracemalloc, so these peaks repeat exactly;
-    # in units of the edge array they read 2.77 (build_graph), 2.05
+    # in units of the edge array they read 2.42 (build_graph), 2.05
     # (components) and 2.07 (crosses), against over 3.4 when a sweep's root
     # gathers and compactions or the distance temporaries pile up
     points = generate_poisson(5.0, Region(40.0, 40.0), seed=3)

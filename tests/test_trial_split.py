@@ -4,6 +4,7 @@ batch, and small batches start no process."""
 
 import os
 import signal
+import threading
 
 import pytest
 
@@ -124,6 +125,33 @@ def test_caller_exception_reaps_its_workers(monkeypatch):
     with pytest.raises(ValueError, match="^boom$"):
         _run_failing(monkeypatch, lambda: None, in_parent=_boom)
     _assert_no_child_left()
+
+
+def test_batches_under_another_thread_start_no_process(monkeypatch):
+    # a fork while another thread runs can deadlock on a lock that thread held
+    config = ExperimentConfig(kind="percolation-sweep", width=10.0, height=10.0,
+                              lambdas=(1.5,), trials=2 * experiments._MIN_TRIALS_PER_WORKER,
+                              base_seed=3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = run_sweep(config)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    # pytest runs no other thread, so without one the batch would fork
+    assert threading.active_count() == 1
+    assert experiments._worker_count(config.trials) == 2
+
+    def no_fork():
+        raise AssertionError("a batch forked under another thread")
+
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run_sweep(config) == serial
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_small_batches_start_no_process(monkeypatch):
