@@ -6,7 +6,15 @@ keep its default. Every trial draws its seed as splitmix64(splitmix64(base_seed)
 a sweep and results are bit-reproducible. One trial loop places the points of
 each (lambda, trial), a Poisson process at lambda, or n uniform points when a
 cascade trial gives n; a sweep builds one graph from them, and a failure sweep
-applies every rule to it with the same failure uniforms, an exact coupling.
+applies its rules to it with the same failure uniforms, an exact coupling.
+A rule at least as harsh as another on the trial graph (q(k) no smaller at
+every degree k up to its maximum) keeps a subset of the other's survivors,
+and both proxies can only lose hits as the survivors shrink. So a hit at a
+rule is a hit at every milder one and a miss is a miss at every harsher one;
+the rules are labeled midpoint-first in order of mean q, and a rule these
+implications already decide is never failed or labeled. A chain of R nested
+rules labels ceil(log2(R + 1)) alive sets per trial, with exactly the
+results of labeling every rule; a percolation sweep is the one-rule case.
 A batch of trials is split across the CPUs of the process's affinity mask,
 at most one worker per _MIN_TRIALS_PER_WORKER trials: trial t runs in worker
 t mod w, the caller being worker 0 and each other worker a forked child that
@@ -299,25 +307,56 @@ def _proxy_indicator(config: ExperimentConfig, graph: SpatialGraph, alive: np.nd
         return 0.0
     if config.proxy == "crossing":
         return 1.0 if crosses(graph, alive) else 0.0
+    threshold = GIANT_FRACTION * len(graph)
+    if np.count_nonzero(alive) < threshold:
+        return 0.0  # no component holds more nodes than are alive
     labeling = components(graph, alive)
-    return 1.0 if labeling.largest_size >= GIANT_FRACTION * len(graph) else 0.0
+    return 1.0 if labeling.largest_size >= threshold else 0.0
+
+
+def _midpoint_first(count: int) -> list[int]:
+    """0 .. count - 1 level by level: the middle, then the middle of each
+    half, and so on. Over a chain of nested rules with the decided ones
+    skipped, this is a binary search."""
+    order, spans = [], [(0, count)]
+    for lo, hi in spans:  # spans grows as it is read: a breadth-first walk
+        if lo < hi:
+            mid = (lo + hi) // 2
+            order.append(mid)
+            spans += ((lo, mid), (mid + 1, hi))
+    return order
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Per grid point (lambda-major, then rule): `trials` instances, aggregated
     to a Bernoulli estimate with its binomial standard error. All rules at one
-    lambda share its trial graphs and failure uniforms."""
+    lambda share its trial graphs and failure uniforms, so each trial labels
+    only the rules whose indicator the harsher-than implications leave open
+    (see the module docstring); every indicator equals its own labeling's."""
     if config.kind not in ("percolation-sweep", "failure-sweep"):
         raise ValueError(f"run_sweep does not handle kind {config.kind!r}")
     rules = config.rules or (None,)  # a percolation sweep has no rules
+    visits = _midpoint_first(len(rules))
 
-    def indicators(seed: int, points: PointSet) -> list[float]:
+    def indicators(seed: int, points: PointSet) -> np.ndarray:
         graph = build_graph(points, config.radius)
-        return [
-            _proxy_indicator(config, graph, np.ones(len(graph), dtype=bool) if rule is None
-                             else fail_nodes(seed, graph, rule).alive)
-            for rule in rules
-        ]
+        ks = np.arange(graph.degrees.max(initial=0) + 1)
+        q = np.array([np.zeros(len(ks)) if rule is None else rule.probabilities(ks)
+                      for rule in rules])
+        hits = np.full(len(rules), np.nan)
+        # sorting by mean q extends the harsher-than order, so the visits
+        # bisect a chain; the order sets the cost, never a result
+        for r in np.argsort(q.mean(axis=1), kind="stable")[visits]:
+            if not np.isnan(hits[r]):
+                continue
+            rule = rules[r]
+            alive = (np.ones(len(graph), dtype=bool) if rule is None
+                     else fail_nodes(seed, graph, rule).alive)
+            hit = _proxy_indicator(config, graph, alive)
+            # a hit holds at every milder rule, a miss at every harsher one
+            implied = (q <= q[r]).all(axis=1) if hit else (q >= q[r]).all(axis=1)
+            hits[implied & np.isnan(hits)] = hit
+        return hits
 
     results = []
     for lam_index, lam in enumerate(config.lambdas):

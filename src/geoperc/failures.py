@@ -4,8 +4,13 @@ A failure rule maps a node's degree in the ORIGINAL graph to a failure
 probability q(k). Node i fails iff u_i < q(k_i), where u_i is the i-th value
 of the counter-based uniform stream keyed by the seed. Sharing the stream
 across rules gives an exact monotone coupling: pointwise larger q can only
-kill more nodes under the same seed. ``experiments.run_sweep`` relies on it:
-every rule at one lambda sees the same trial graphs and the same failure seed.
+kill more nodes under the same seed. ``experiments.run_sweep`` gives every
+rule at one lambda the same trial graphs and failure seed. On a graph, a rule
+whose q(k) is at least as large at every degree up to the maximum keeps a
+subset of another rule's survivors, so a proxy hit at the harsher rule is a
+hit at the milder one, and a miss at the milder one a miss at the harsher.
+run_sweep labels only the rules these implications leave open, which leaves
+every indicator exactly what labeling its rule would give.
 """
 
 from __future__ import annotations

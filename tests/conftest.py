@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from geoperc import experiments
-from geoperc.geometry import Region, generate_uniform
+from geoperc.failures import apply_failures
+from geoperc.geometry import Region, generate_poisson, generate_uniform
 from geoperc.graph import build_graph, crossing_level
-from geoperc.seeding import generator_from_seed
+from geoperc.seeding import STREAM_FAILURES, STREAM_PLACEMENT, generator_from_seed, substream
 
 hypothesis.settings.register_profile(
     "default", max_examples=25, deadline=None, derandomize=True
@@ -97,6 +98,29 @@ def bfs_crosses(graph, alive):
 def trial_graph(config, lam_index, trial_seed):
     """The whole graph of one harness trial, rebuilt from its trial seed."""
     return build_graph(experiments._trial_points(config, lam_index, trial_seed), config.radius)
+
+
+def per_rule_sweep(config):
+    """A failure sweep's points as (params, estimate), lambda-major then rule,
+    with every rule failed and labeled on every trial graph: each trial is
+    replayed from its placement and failure substreams, with no rule's
+    indicator implied by another's."""
+    points = []
+    for i, lam in enumerate(config.lambdas):
+        graphs = [
+            (seed, build_graph(
+                generate_poisson(lam, config.region, substream(seed, STREAM_PLACEMENT)),
+                config.radius,
+            ))
+            for seed in experiments.trial_seeds(config, i)
+        ]
+        for rule in config.rules:
+            hits = 0.0
+            for seed, graph in graphs:
+                alive = apply_failures(graph, rule, substream(seed, STREAM_FAILURES)).alive
+                hits += experiments._proxy_indicator(config, graph, alive)
+            points.append(({"lambda": lam, "rule": rule.to_text()}, hits / config.trials))
+    return points
 
 
 def whole_graph_critical_q(graph, failure_seed):

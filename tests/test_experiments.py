@@ -19,13 +19,13 @@ from geoperc.failures import (
     IndependentFailure,
     ThresholdAttack,
     apply_failures,
+    parse_rule,
 )
 from geoperc.experiments import (
     BisectionResult,
     ExperimentConfig,
     _bisect,
     _median_ci_rank,
-    _proxy_indicator,
     _trial_critical_qs,
     estimate_lambda_c,
     estimate_qc,
@@ -39,7 +39,7 @@ from geoperc.io import SchemaError, config_from_dict, config_to_dict, load_json
 from geoperc.seeding import STREAM_FAILURES, STREAM_PLACEMENT, derive_seed, substream
 from geoperc.theory import SubcriticalDensityError
 
-from conftest import trial_graph, whole_graph_critical_q
+from conftest import per_rule_sweep, trial_graph, whole_graph_critical_q
 
 HEAVY_LOW = ThresholdDistribution(((0.0, 0.1, 7.5), (0.1, 1.0, 5 / 18)))
 ABOVE_HALF = ThresholdDistribution(((0.0, 0.5, 0.0), (0.5, 1.0, 2.0)))
@@ -277,6 +277,26 @@ def test_estimator_trials_match_golden_values():
     assert estimate_lambda_c(trials=5, base_seed=2024).critical_values == GOLDEN_LAMBDA_C_STAR
 
 
+# Exact estimates of a 2-lambda x 6-rule failure sweep per proxy: a nested
+# indep chain, an attack and a table, lambda-major. Any change to a random
+# stream or to which rules a labeled one implies shows here as a changed float.
+GOLDEN_SWEEP_RULES = ("indep:0.1", "indep:0.3", "indep:0.5", "indep:0.7",
+                      "attack:7", "table:0.0,0.1,0.2,0.4;tail=0.6")
+GOLDEN_SWEEP_ESTIMATES = {
+    "crossing": (1.0, 0.55, 0.0, 0.0, 0.4, 0.0, 1.0, 1.0, 1.0, 0.05, 0.0, 0.5),
+    "giant-fraction": (1.0, 1.0, 0.4, 0.0, 1.0, 0.15, 1.0, 1.0, 1.0, 0.35, 0.0, 0.9),
+}
+
+
+@pytest.mark.parametrize("proxy", experiments.PROXIES)
+def test_failure_sweep_matches_golden_values(proxy):
+    cfg = ExperimentConfig(kind="failure-sweep", width=16.0, height=16.0, lambdas=(2.0, 3.5),
+                           rules=tuple(parse_rule(t) for t in GOLDEN_SWEEP_RULES), trials=20,
+                           base_seed=27, proxy=proxy)
+    estimates = tuple(p.estimate for p in run_sweep(cfg).points)
+    assert estimates == GOLDEN_SWEEP_ESTIMATES[proxy]
+
+
 def test_failure_with_zero_rate_matches_unfailed():
     base = dict(width=25.0, height=25.0, lambdas=(1.4, 1.6), trials=25, base_seed=5)
     plain = run_sweep(ExperimentConfig(kind="percolation-sweep", **base))
@@ -320,23 +340,92 @@ def test_failure_sweep_replays_from_lambda_trial_seeds(proxy):
     # every point is the mean of direct replays of its rule on the trial
     # graphs of its lambda, all rules reading the same failure uniforms
     cfg = _coupled_failure_config(proxy)
-    points = iter(run_sweep(cfg).points)
-    for i, lam in enumerate(cfg.lambdas):
-        graphs = [
-            (seed, build_graph(
-                generate_poisson(lam, cfg.region, substream(seed, STREAM_PLACEMENT)), cfg.radius
-            ))
-            for seed in trial_seeds(cfg, i)
-        ]
-        for rule in cfg.rules:
-            hits = 0.0
-            for seed, graph in graphs:
-                alive = apply_failures(graph, rule, substream(seed, STREAM_FAILURES)).alive
-                hits += _proxy_indicator(cfg, graph, alive)
-            point = next(points)
-            assert point.params == {"lambda": lam, "rule": rule.to_text()}
-            assert point.estimate == hits / cfg.trials
-            assert type(point.estimate) is float and type(point.stderr) is float
+    points = run_sweep(cfg).points
+    assert [(p.params, p.estimate) for p in points] == per_rule_sweep(cfg)
+    assert all(type(p.estimate) is float and type(p.stderr) is float for p in points)
+
+
+_RULES = st.one_of(
+    st.builds(IndependentFailure, st.sampled_from((0.0, 0.2, 0.45, 0.7, 1.0))),
+    st.builds(DegreeFunctionFailure,
+              st.lists(st.sampled_from((0.0, 0.3, 0.6, 1.0)), min_size=1, max_size=4)
+              .map(tuple), st.sampled_from((0.0, 0.3, 1.0))),
+    st.builds(ThresholdAttack, st.integers(0, 12)),
+)
+
+
+@given(
+    rules=st.lists(_RULES, min_size=1, max_size=6).flatmap(  # 1-8 rules, duplicates
+        lambda rules: st.permutations(rules + rules[1:3]).map(tuple)),
+    lambdas=st.lists(st.sampled_from((0.0, 1.5, 3.0, 5.0)), min_size=1, max_size=2),
+    side=st.sampled_from((4.0, 9.0, 14.0)),
+    proxy=st.sampled_from(experiments.PROXIES),
+    base_seed=st.integers(0, 2**32),
+)
+def test_implied_indicators_equal_per_rule_labeling(rules, lambdas, side, proxy, base_seed):
+    # a sweep skips the rules a labeled one implies: its estimates must be
+    # those of labeling every rule on every trial, for any mix of rule kinds
+    cfg = ExperimentConfig(kind="failure-sweep", width=side, height=side,
+                           lambdas=tuple(lambdas), rules=rules, trials=4,
+                           base_seed=base_seed, proxy=proxy)
+    assert [(p.params, p.estimate) for p in run_sweep(cfg).points] == per_rule_sweep(cfg)
+
+
+def _labelings_per_trial(cfg):
+    """run_sweep(cfg) in this process, with the proxy labelings and fail_nodes
+    calls of each trial, in trial order."""
+    trials = []
+
+    def counting_build_graph(points, radius):
+        trials.append(Counter())
+        return build_graph(points, radius)
+
+    def counting(name, function):
+        def counted(*args):
+            trials[-1][name] += 1
+            return function(*args)
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "build_graph", counting_build_graph)
+        for name in ("components", "crosses", "fail_nodes"):
+            patch.setattr(experiments, name, counting(name, getattr(experiments, name)))
+        patch.setattr(experiments, "_worker_count", lambda trials: 1)  # count every trial here
+        result = run_sweep(cfg)
+    return result, [(c["components"] + c["crosses"], c["fail_nodes"]) for c in trials]
+
+
+@pytest.mark.parametrize("proxy", experiments.PROXIES)
+def test_nested_rule_chain_labels_a_binary_search(proxy):
+    # 14 nested indep rules: ceil(log2(15)) = 4 labelings decide all of them
+    rules = tuple(IndependentFailure(q / 20) for q in range(1, 15))
+    cfg = ExperimentConfig(kind="failure-sweep", width=30.0, height=30.0, lambdas=(3.0, 5.0),
+                           rules=rules, trials=8, base_seed=3, proxy=proxy)
+    _, counts = _labelings_per_trial(cfg)
+    assert len(counts) == 2 * cfg.trials
+    assert all(1 <= labeled <= 4 and failed == labeled for labeled, failed in counts), counts
+
+
+def test_degree_rules_label_one_alive_set():
+    # indep:0.3 is labeled and implies the milder table; the attack keeps
+    # too few nodes for a giant component, so it is failed but not labeled
+    rules = (IndependentFailure(0.3),
+             DegreeFunctionFailure((0.0, 0.0, 0.05, 0.1, 0.15, 0.2), 0.25), ThresholdAttack(4))
+    cfg = ExperimentConfig(kind="failure-sweep", width=30.0, height=30.0, lambdas=(5.0,),
+                           rules=rules, trials=2, base_seed=42, proxy="giant-fraction")
+    result, counts = _labelings_per_trial(cfg)
+    assert [p.estimate for p in result.points] == [1.0, 1.0, 0.0]
+    assert counts == [(1, 2)] * cfg.trials
+
+
+@pytest.mark.parametrize("proxy", experiments.PROXIES)
+def test_one_rule_sweeps_label_once_per_trial(proxy):
+    base = dict(width=12.0, height=12.0, lambdas=(0.0, 2.0), trials=3, base_seed=5, proxy=proxy)
+    _, counts = _labelings_per_trial(ExperimentConfig(kind="percolation-sweep", **base))
+    assert counts == [(0, 0)] * 3 + [(1, 0)] * 3  # lambda 0 gives empty graphs
+    _, counts = _labelings_per_trial(ExperimentConfig(
+        kind="failure-sweep", rules=(IndependentFailure(0.2),), **base))
+    assert counts == [(0, 1)] * 3 + [(1, 1)] * 3
 
 
 def test_estimate_lambda_c_validates_inputs():
