@@ -24,6 +24,7 @@ import sys
 from . import __version__
 from .cascade import parse_distribution, run_cascade
 from .experiments import (
+    BRACKET_WIDTH,
     draw_seed_node,
     draw_thresholds,
     estimate_lambda_c,
@@ -161,10 +162,10 @@ def _theory_critical_phi(args) -> dict:
 def _theory_failure_condition(args) -> dict:
     rule = parse_rule(args.rule)
     if rule.is_nondecreasing():
-        res = no_infinite_component_nondecreasing(args.lam, rule, args.tolerance)
+        res = no_infinite_component_nondecreasing(args.lam, rule)
         name = "no-infinite-component-nondecreasing"
     elif rule.is_nonincreasing():
-        res = no_infinite_component_nonincreasing(args.lam, rule, args.tolerance)
+        res = no_infinite_component_nonincreasing(args.lam, rule)
         name = "no-infinite-component-nonincreasing"
     else:
         raise ValueError(f"rule {args.rule!r} is neither non-decreasing nor non-increasing")
@@ -173,7 +174,7 @@ def _theory_failure_condition(args) -> dict:
 
 
 def _theory_cascade_condition(args) -> dict:
-    res = no_cascade_condition(args.lam, parse_distribution(args.dist), args.tolerance)
+    res = no_cascade_condition(args.lam, parse_distribution(args.dist))
     return {"condition": "no-cascade", "lambda": args.lam, "dist": args.dist, "lhs": res.lhs,
             "threshold": res.threshold, "relation": res.relation, "holds": res.holds}
 
@@ -194,8 +195,8 @@ def _theory_circuit_bound(args) -> dict:
 _THEORY = {
     "critical-q": (("--lambda",), _theory_critical_q),
     "critical-phi": (("--lambda",), _theory_critical_phi),
-    "failure-condition": (("--lambda", "--rule", "--tolerance"), _theory_failure_condition),
-    "cascade-condition": (("--lambda", "--dist", "--tolerance"), _theory_cascade_condition),
+    "failure-condition": (("--lambda", "--rule"), _theory_failure_condition),
+    "cascade-condition": (("--lambda", "--dist"), _theory_cascade_condition),
     "block-cap": (("--lambda", "--d"), _theory_block_cap),
     "circuit-bound": (("--m",), _theory_circuit_bound),
 }
@@ -209,16 +210,14 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if not args.width > 0:
-        raise ValueError(f"--width must be positive, got {args.width}")
     shared = {"side": args.side, "radius": args.radius, "trials": args.trials}
     if args.estimate_command == "lambda-c":
         estimate, params = estimate_lambda_c, shared
     else:
         estimate = functools.partial(estimate_qc, args.lam)
         params = {"lambda": args.lam, **shared}
-    result = estimate(**shared, base_seed=args.seed, target_width=args.width)
-    doc = _document(f"estimate {args.estimate_command}", {**params, "width": args.width},
+    result = estimate(**shared, base_seed=args.seed)
+    doc = _document(f"estimate {args.estimate_command}", {**params, "width": BRACKET_WIDTH},
                     args.seed, result.to_dict())
     _emit(doc, args.out)
     return 0
@@ -229,10 +228,8 @@ _FLAGS = {
     "--lambda": dict(dest="lam", type=float, required=True),
     "--side": dict(type=float, default=50.0),
     "--radius": dict(type=float, default=1.0),
-    "--width": dict(type=float, default=0.02),
     "--rule": dict(required=True),
     "--dist": dict(required=True),
-    "--tolerance": dict(type=float, default=1e-12),
     "--d": dict(type=float, required=True),
     "--m": dict(type=int, required=True),
     "--seed": dict(type=int),
@@ -293,11 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     ep = esub.add_parser("lambda-c")
     _add(ep, "--side", "--radius")
     ep.add_argument("--trials", type=int, default=200)
-    _add(ep, "--width", "--seed", "--out")
+    _add(ep, "--seed", "--out")
     ep = esub.add_parser("qc")
     _add(ep, "--lambda", "--side", "--radius")
     ep.add_argument("--trials", type=int, default=100)
-    _add(ep, "--width", "--seed", "--out")
+    _add(ep, "--seed", "--out")
     p.set_defaults(func=_cmd_estimate)
 
     return parser

@@ -371,6 +371,10 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
 MEDIAN_CI_LEVEL = 0.95
 
+# Width at which both estimators stop bisecting, in the units of the estimate
+# (radius**-2 for estimate_lambda_c, as its bracket).
+BRACKET_WIDTH = 0.02
+
 
 def _finite_or_none(value: float) -> float | None:
     return value if math.isfinite(value) else None
@@ -483,15 +487,12 @@ def _trial_critical_qs(config: ExperimentConfig) -> np.ndarray:
     return np.array(_over_trials(config, 0, critical_q))
 
 
-def _estimator_trials(lam: float, side: float, radius: float, trials: int, base_seed: int,
-                      target_width: float) -> np.ndarray:
+def _estimator_trials(lam: float, side: float, radius: float, trials: int,
+                      base_seed: int) -> np.ndarray:
     """q* per trial of one Poisson graph at density lam on a side x side open
-    box, after the checks both estimators share: a side of at least 50 radii
-    and a positive target_width."""
+    box, whose side must be at least 50 radii."""
     if not side >= 50.0 * radius:
         raise ValueError(f"region side {side} must be at least 50 radii ({50.0 * radius})")
-    if not target_width > 0:
-        raise ValueError(f"target_width must be positive, got {target_width}")
     return _trial_critical_qs(ExperimentConfig(
         kind="percolation-sweep", width=side, height=side, radius=radius, lambdas=(lam,),
         trials=trials, base_seed=base_seed,
@@ -533,7 +534,6 @@ def estimate_lambda_c(
     radius: float = 1.0,
     trials: int = 200,
     base_seed: int = 0,
-    target_width: float = 0.02,
 ) -> BisectionResult:
     """Bisect the density at which the left-right crossing probability is 1/2.
 
@@ -541,7 +541,7 @@ def estimate_lambda_c(
     with q = 1 - lam/lam_max thins it to exactly a density-lam Poisson graph,
     so the trial crosses at lam iff lam >= lam* = lam_max (1 - q*). The region
     side must be at least 50 radii; the returned interval has width at most
-    target_width / radius**2, in the bracket's units, and brackets the
+    BRACKET_WIDTH / radius**2, in the bracket's units, and brackets the
     empirical transition point.
     """
     # _estimator_trials names a radius that is not positive
@@ -549,8 +549,8 @@ def estimate_lambda_c(
     if not (lo > 0 and hi < math.inf):
         raise ValueError(f"radius {radius} puts the density bracket {_LAMBDA_C_BRACKET} / "
                          f"radius**2 outside the float range, at ({lo}, {hi})")
-    q_star = _estimator_trials(hi, side, radius, trials, base_seed, target_width)
-    return _bisect(hi * (1.0 - q_star), lo, hi, target_width / radius / radius, True, base_seed)
+    q_star = _estimator_trials(hi, side, radius, trials, base_seed)
+    return _bisect(hi * (1.0 - q_star), lo, hi, BRACKET_WIDTH / radius / radius, True, base_seed)
 
 
 def estimate_qc(
@@ -559,7 +559,6 @@ def estimate_qc(
     radius: float = 1.0,
     trials: int = 100,
     base_seed: int = 0,
-    target_width: float = 0.02,
 ) -> BisectionResult:
     """Bisect the independent-failure probability in [0, 1] at which crossing
     drops to 1/2.
@@ -572,8 +571,8 @@ def estimate_qc(
         raise SubcriticalDensityError(
             f"lambda={lam} is not above the critical density {LAMBDA_C / radius / radius}"
         )
-    q_star = _estimator_trials(lam, side, radius, trials, base_seed, target_width)
-    return _bisect(q_star, 0.0, 1.0, target_width, False, base_seed)
+    q_star = _estimator_trials(lam, side, radius, trials, base_seed)
+    return _bisect(q_star, 0.0, 1.0, BRACKET_WIDTH, False, base_seed)
 
 
 @dataclass(frozen=True)

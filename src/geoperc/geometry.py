@@ -95,8 +95,11 @@ def generate_poisson(lam: float, region: Region, seed: int) -> PointSet:
     """Poisson(lam * area) point count, then uniform placement; deterministic given seed."""
     if not lam >= 0:
         raise ValueError(f"lambda must be non-negative, got {_text(lam)}")
-    # an int or a product past the float range is inf, without numpy's warning
-    mean = float(lam) * region.area if lam <= sys.float_info.max else np.inf
+    if lam == 0:
+        mean = float(lam)  # 0 times an area that overflowed to inf would be nan
+    else:
+        # an int or a product past the float range is inf, without numpy's warning
+        mean = float(lam) * region.area if lam <= sys.float_info.max else np.inf
     gen = generator_from_seed(seed)
     try:
         # numpy refuses a mean past about 9.2e18, inf included

@@ -2,9 +2,9 @@
 
 The critical density is one constant, ``LAMBDA_C``, and the critical mean
 degree is ``MU_C = pi LAMBDA_C``. All series are Poisson-weighted sums
-truncated once the remaining Poisson tail mass drops below the tolerance; every
+truncated once the remaining Poisson tail mass drops below ``TAIL_MASS``; every
 summand is bounded by its Poisson weight (probabilities are <= 1), so the
-truncation error is below the tolerance. Condition evaluators return the raw
+truncation error is below ``TAIL_MASS``. Condition evaluators return the raw
 left-hand value together with the decision threshold so sweeps can plot
 margins, never just the boolean.
 """
@@ -36,7 +36,10 @@ LAMBDA_C = 1.435
 MU_C = LAMBDA_C * math.pi
 
 
-# Bounds the Poisson series when the tolerance lies below float resolution.
+# Every series stops once its remaining Poisson tail mass is below this.
+TAIL_MASS = 1e-12
+
+# Loop guard: at TAIL_MASS no mean the underflow check admits needs 1000 terms.
 _MAX_TERMS = 200_000
 
 
@@ -89,19 +92,16 @@ def _require_positive(value: float, what: str = "density") -> None:
         raise ValueError(f"{what} must be positive, got {value}")
 
 
-def no_infinite_component_nondecreasing(
-    lam: float, rule, tolerance: float = 1e-12
-) -> ConditionResult:
+def no_infinite_component_nondecreasing(lam: float, rule) -> ConditionResult:
     """Subcriticality condition for a non-decreasing failure rule.
 
     LHS = P(N=0) + sum_{k>=1} P(N=k) q(k-1)^k with N ~ Poisson(lam/2); the
     remaining network has no infinite component when LHS > 1 - 1/27.
     """
     _require_positive(lam)
-    _require_positive(tolerance, "tail tolerance")
     if not rule.is_nondecreasing():
         raise ValueError("this condition requires a non-decreasing failure rule")
-    pmf = _poisson_pmf(lam / 2.0, tolerance)
+    pmf = _poisson_pmf(lam / 2.0, TAIL_MASS)
     ks = np.arange(1, len(pmf))
     q = rule.probabilities(ks - 1)
     lhs = float(pmf[0] + np.sum(pmf[1:] * q**ks))
@@ -109,14 +109,14 @@ def no_infinite_component_nondecreasing(
     return ConditionResult(lhs, threshold, lhs > threshold, ">")
 
 
-def _collar_double_series(lam: float, survive_factor, tolerance: float) -> float:
+def _collar_double_series(lam: float, survive_factor) -> float:
     """sum_{k>=1} P(K=k) sum_{m>=0} P(M=m) (1 - f(m+k-1)^k).
 
     K ~ Poisson(lam/2), M ~ Poisson(lam * COLLAR_AREA); f is q for failure
     rules or the reliable probability for threshold distributions.
     """
-    pk = _poisson_pmf(lam / 2.0, tolerance / 2.0)
-    pm = _poisson_pmf(lam * COLLAR_AREA, tolerance / 2.0)
+    pk = _poisson_pmf(lam / 2.0, TAIL_MASS / 2.0)
+    pm = _poisson_pmf(lam * COLLAR_AREA, TAIL_MASS / 2.0)
     ks = np.arange(1, len(pk))
     ms = np.arange(len(pm))
     f = survive_factor(ms[None, :] + ks[:, None] - 1)
@@ -124,9 +124,7 @@ def _collar_double_series(lam: float, survive_factor, tolerance: float) -> float
     return float(np.sum(pk[1:] * inner))
 
 
-def no_infinite_component_nonincreasing(
-    lam: float, rule, tolerance: float = 1e-12
-) -> ConditionResult:
+def no_infinite_component_nonincreasing(lam: float, rule) -> ConditionResult:
     """Subcriticality condition for a non-increasing failure rule.
 
     Uses the collar construction: a node in the reference square has degree at
@@ -134,10 +132,9 @@ def no_infinite_component_nonincreasing(
     remaining network has no infinite component when LHS < 1/27.
     """
     _require_positive(lam)
-    _require_positive(tolerance, "tail tolerance")
     if not rule.is_nonincreasing():
         raise ValueError("this condition requires a non-increasing failure rule")
-    lhs = _collar_double_series(lam, rule.probabilities, tolerance)
+    lhs = _collar_double_series(lam, rule.probabilities)
     return ConditionResult(lhs, ONE_27TH, lhs < ONE_27TH, "<")
 
 
@@ -151,17 +148,14 @@ def reliable_probabilities(dist, ks) -> np.ndarray:
     return np.where(k == 0, 1.0, 1.0 - dist.cdf(ratio))
 
 
-def no_cascade_condition(
-    lam: float, dist, tolerance: float = 1e-12
-) -> ConditionResult:
+def no_cascade_condition(lam: float, dist) -> ConditionResult:
     """No infinite component of unreliable nodes, hence no cascade.
 
     Same series as the non-increasing failure condition with q replaced by the
     reliable probability of the threshold distribution; holds when LHS < 1/27.
     """
     _require_positive(lam)
-    _require_positive(tolerance, "tail tolerance")
-    lhs = _collar_double_series(lam, lambda j: reliable_probabilities(dist, j), tolerance)
+    lhs = _collar_double_series(lam, lambda j: reliable_probabilities(dist, j))
     return ConditionResult(lhs, ONE_27TH, lhs < ONE_27TH, "<")
 
 

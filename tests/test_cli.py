@@ -73,13 +73,13 @@ def test_non_finite_output_is_an_error_not_nan_json(capsys):
 NON_FINITE_FLAG_CASES = [
     ("--side", ["estimate", "lambda-c", "--side", "inf", "--trials", "2"]),
     ("--radius", ["estimate", "lambda-c", "--radius", "nan", "--trials", "2"]),
-    ("--width", ["estimate", "lambda-c", "--width", "nan", "--trials", "2"]),
+    ("--width", ["generate", "--n", "5", "--width", "nan", "--height", "5", "--seed", "1"]),
     # -inf is named as non-finite, not as non-positive
     ("--radius", ["estimate", "lambda-c", "--radius=-inf", "--trials", "2"]),
-    ("--width", ["estimate", "lambda-c", "--width=-inf", "--trials", "2"]),
+    ("--width", ["generate", "--n", "5", "--width=-inf", "--height", "5", "--seed", "1"]),
     ("--lambda", ["estimate", "qc", "--lambda", "nan", "--trials", "2"]),
     ("--lambda", ["theory", "critical-q", "--lambda", "1e400"]),
-    ("--width", ["estimate", "qc", "--lambda", "2.87", "--width", "nan", "--trials", "2"]),
+    ("--width", ["generate", "--lambda", "1", "--width", "nan", "--height", "5", "--seed", "1"]),
     ("--d", ["theory", "block-cap", "--lambda", "2", "--d", "nan"]),
     ("--width", ["generate", "--n", "5", "--width", "inf", "--height", "5", "--seed", "1"]),
     ("--height", ["generate", "--n", "5", "--width", "5", "--height", "nan", "--seed", "1"]),
@@ -87,12 +87,10 @@ NON_FINITE_FLAG_CASES = [
                   "--seed", "1"]),
     ("--radius", ["generate", "--n", "5", "--width", "5", "--height", "5",
                   "--radius", "inf", "--seed", "1"]),
-    ("--tolerance", ["theory", "cascade-condition", "--lambda", "2",
-                     "--dist", "pieces:0,1,1", "--tolerance", "nan"]),
+    ("--lambda", ["theory", "cascade-condition", "--lambda", "nan", "--dist", "pieces:0,1,1"]),
     ("--lambda", ["theory", "critical-phi", "--lambda", "nan"]),
     ("--lambda", ["theory", "failure-condition", "--lambda", "inf", "--rule", "attack:4"]),
-    ("--tolerance", ["theory", "failure-condition", "--lambda", "2", "--rule", "attack:4",
-                     "--tolerance", "nan"]),
+    ("--lambda", ["theory", "failure-condition", "--lambda", "nan", "--rule", "indep:0.1"]),
     ("--lambda", ["theory", "cascade-condition", "--lambda", "inf", "--dist", "pieces:0,1,1"]),
     ("--lambda", ["theory", "block-cap", "--lambda", "nan", "--d", "5"]),
     ("--side", ["estimate", "qc", "--lambda", "2.87", "--side", "nan", "--trials", "2"]),
@@ -487,16 +485,15 @@ def test_estimate_lambda_c_extreme_radius_is_one_error_line(capsys, radius, side
     assert err == f"error: {message}\n", err
 
 
-@pytest.mark.parametrize(
-    "argv, width",
-    [(["lambda-c", "--width", "0"], "0.0"), (["qc", "--lambda", "2.87", "--width", "-1"], "-1.0")],
-)
-def test_estimate_non_positive_width_is_one_error_line(capsys, argv, width):
-    # named by the flag, before any trial runs
-    code, out, err = run_cli(capsys, "estimate", *argv, "--trials", "2", "--seed", "1")
-    assert code == 1
-    assert out == ""
-    assert err == f"error: --width must be positive, got {width}\n", err
+@pytest.mark.parametrize("argv", [["lambda-c"], ["qc", "--lambda", "2.87"]])
+def test_estimate_width_flag_is_unrecognized(capsys, argv):
+    # both estimators stop bisecting at the fixed experiments.BRACKET_WIDTH
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", *argv, "--width", "0.01", "--seed", "1", "--trials", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --width 0.01\n" in captured.err
 
 
 @pytest.mark.parametrize("argv", [["lambda-c"], ["qc", "--lambda", "2.87"]])
@@ -614,8 +611,7 @@ _THEORY_ARGS = {
 @pytest.mark.parametrize(
     "sub, flag",
     [("critical-q", "--frobnicate")]
-    + [(sub, "--tolerance -1")
-       for sub in ("critical-q", "critical-phi", "block-cap", "circuit-bound")]
+    + [(sub, "--tolerance -1") for sub in _THEORY_ARGS]
     + [(sub, "--lambda-c 99") for sub in _THEORY_ARGS],
 )
 def test_unknown_flag_rejected(capsys, sub, flag):

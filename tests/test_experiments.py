@@ -660,15 +660,11 @@ def test_estimators_replay_trials_from_their_seeds():
         assert [p for _, p in result.evaluations] == list(hits / result.trials)
 
 
-def test_bisection_stops_at_float_resolution():
-    for bad in (0.0, math.nan):
-        with pytest.raises(ValueError, match="target_width"):
-            estimate_qc(2.87, trials=5, base_seed=11, target_width=bad)
-        with pytest.raises(ValueError, match="target_width"):
-            estimate_lambda_c(trials=5, base_seed=11, target_width=bad)
+def test_bisection_stops_at_float_resolution(monkeypatch):
     # a width below float spacing ends with adjacent floats around the one
     # per-trial value where the crossing fraction drops below 1/2
-    tight = estimate_qc(2.87, trials=5, base_seed=11, target_width=1e-300)
+    monkeypatch.setattr(experiments, "BRACKET_WIDTH", 1e-300)
+    tight = estimate_qc(2.87, trials=5, base_seed=11)
     assert np.nextafter(tight.low, 1.0) == tight.high
     assert tight.low == tight.median
 

@@ -52,6 +52,16 @@ def test_generate_poisson_empty():
     assert len(pts) == 0
 
 
+@pytest.mark.parametrize("lam", [0.0, 0], ids=["float", "int"])
+def test_generate_poisson_zero_lambda_is_empty_on_an_overflowing_area(lam):
+    # lambda 0 times the area inf is nan; no intensity still means no points
+    region = Region(1e200, 1e200)
+    assert region.area == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(generate_poisson(lam, region, seed=1)) == 0
+
+
 @pytest.mark.parametrize(
     "lam", [np.nan, -1.0, -np.inf, pytest.param(10**400, id="int-past-float-range"),
             pytest.param(10**5000, id="int-past-str-limit"),

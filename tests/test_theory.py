@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from geoperc import theory
 from geoperc.cascade import ThresholdDistribution
 from geoperc.failures import DegreeFunctionFailure, IndependentFailure, ThresholdAttack
 from geoperc.theory import (
@@ -213,41 +214,30 @@ class TestNoCascadeCondition:
         )
 
 
+SERIES_EVALUATORS = (
+    lambda: no_infinite_component_nondecreasing(3.0, IndependentFailure(0.99)).lhs,
+    lambda: no_infinite_component_nonincreasing(3.0, IndependentFailure(0.35)).lhs,
+    lambda: no_cascade_condition(3.0, HEAVY_LOW).lhs,
+)
+
+
 class TestSeriesTolerance:
-    def test_tolerance_halving_self_consistency(self):
-        rule = IndependentFailure(0.35)
-        for tol in (1e-8, 1e-10, 1e-12):
-            a = no_infinite_component_nondecreasing(3.0, rule, tol).lhs
-            b = no_infinite_component_nondecreasing(3.0, rule, tol / 2).lhs
-            assert abs(a - b) < tol
-            c = no_infinite_component_nonincreasing(3.0, rule, tol).lhs
-            d = no_infinite_component_nonincreasing(3.0, rule, tol / 2).lhs
-            assert abs(c - d) < tol
-            e = no_cascade_condition(3.0, HEAVY_LOW, tol).lhs
-            f = no_cascade_condition(3.0, HEAVY_LOW, tol / 2).lhs
-            assert abs(e - f) < tol
+    def test_tolerance_halving_self_consistency(self, monkeypatch):
+        # the series truncated at TAIL_MASS is within TAIL_MASS of one with a
+        # 1000x smaller tail, and differs from it, so the truncation is real
+        tail = theory.TAIL_MASS
+        truncated = [evaluate() for evaluate in SERIES_EVALUATORS]
+        monkeypatch.setattr(theory, "TAIL_MASS", tail / 1000)
+        refined = [evaluate() for evaluate in SERIES_EVALUATORS]
+        for a, b in zip(truncated, refined):
+            assert 0 < abs(a - b) < tail
 
-    def test_invalid_tolerance(self):
-        rule = IndependentFailure(0.35)
-        evaluators = (
-            lambda tol: no_infinite_component_nondecreasing(3.0, rule, tol),
-            lambda tol: no_infinite_component_nonincreasing(3.0, rule, tol),
-            lambda tol: no_cascade_condition(3.0, UNIFORM, tol),
-        )
-        for evaluate in evaluators:
-            # a NaN tolerance would end the series after its first term
-            for tol in (0.0, -1e-9, math.nan):
-                with pytest.raises(ValueError, match="tail tolerance must be positive"):
-                    evaluate(tol)
-
-    def test_tolerance_below_float_resolution_stops(self):
-        # the tail mass 1 - cum never drops below 1e-300, so only the term cap ends the loop
-        rule = IndependentFailure(0.35)
-        for evaluate in (no_infinite_component_nondecreasing, no_infinite_component_nonincreasing):
-            with pytest.raises(ValueError, match="did not reach tail mass"):
-                evaluate(3.0, rule, 1e-300)
-        with pytest.raises(ValueError, match="did not reach tail mass"):
-            no_cascade_condition(3.0, UNIFORM, 1e-300)
+    def test_tolerance_below_float_resolution_stops(self, monkeypatch):
+        # a series whose tail mass never drops below TAIL_MASS ends at the term cap
+        monkeypatch.setattr(theory, "_MAX_TERMS", 3)
+        for evaluate in SERIES_EVALUATORS:
+            with pytest.raises(ValueError, match=r"did not reach tail mass \S+ in 3 terms"):
+                evaluate()
 
 
 class TestVulnerablePercolationCheck:
