@@ -115,13 +115,6 @@ def distribution_to_text(dist: ThresholdDistribution) -> str:
     return "pieces:" + ";".join(f"{a!r},{b!r},{d!r}" for a, b, d in dist.pieces)
 
 
-def vulnerable_probability(dist: ThresholdDistribution, k: int) -> float:
-    """Probability F(1/k) that a degree-k node is triggered by one failed neighbor."""
-    if k < 1:
-        raise ValueError(f"vulnerability needs degree >= 1, got {k}")
-    return dist.cdf(1.0 / k)
-
-
 @dataclass(frozen=True)
 class NodeClassification:
     """Boolean masks per node; the predicates overlap (a degree-1 node is both

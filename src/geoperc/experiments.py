@@ -67,7 +67,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cascade import ThresholdDistribution, classify, run_cascade
-from .failures import FailureOutcome, FailureRule, apply_failures
+from .failures import FailureOutcome, FailureRule, apply_failures, failure_uniforms
 from .geometry import OPEN_BOX, PointSet, Region, generate_poisson, generate_uniform
 from .graph import SpatialGraph, _neighbor_counts, build_graph, components, crosses, crossing_level
 from .seeding import (
@@ -475,7 +475,7 @@ def _trial_critical_qs(config: ExperimentConfig) -> np.ndarray:
         floors = (1.0 - _SURVIVOR_DENSITY / density, -math.inf)
 
     def critical_q(seed: int, points: PointSet) -> float:
-        u = generator_from_seed(substream(seed, STREAM_FAILURES)).random(len(points))
+        u = failure_uniforms(substream(seed, STREAM_FAILURES), len(points))
         for floor in floors:
             kept = (u >= floor).nonzero()[0]
             graph = build_graph(PointSet(points.coordinates[kept], points.region), radius)

@@ -174,10 +174,14 @@ class FailureOutcome:
         self.alive.setflags(write=False)
 
 
+def failure_uniforms(seed: int, n: int) -> np.ndarray:
+    """The failure uniforms u_0 .. u_{n-1} keyed by seed: node i fails iff u_i < q."""
+    return generator_from_seed(seed).random(n)
+
+
 def apply_failures(graph: SpatialGraph, rule: FailureRule, seed: int) -> FailureOutcome:
     """Fail node i independently with probability q(original degree of i)."""
-    n = len(graph)
-    uniforms = generator_from_seed(seed).random(n)
+    uniforms = failure_uniforms(seed, len(graph))
     q = rule.probabilities(graph.degrees)
     alive = ~(uniforms < q)
     return FailureOutcome(alive)

@@ -97,9 +97,13 @@ def generate_poisson(lam: float, region: Region, seed: int) -> PointSet:
         raise ValueError(f"lambda must be non-negative, got {_text(lam)}")
     if lam == 0:
         mean = float(lam)  # 0 times an area that overflowed to inf would be nan
+    elif not lam <= sys.float_info.max:
+        mean = np.inf  # float() of an int past the float range would raise
+    elif region.area < np.inf:
+        mean = float(lam) * region.area
     else:
-        # an int or a product past the float range is inf, without numpy's warning
-        mean = float(lam) * region.area if lam <= sys.float_info.max else np.inf
+        # the area overflowed, but a small lambda can still give a finite mean
+        mean = float(lam) * region.width * region.height
     gen = generator_from_seed(seed)
     try:
         # numpy refuses a mean past about 9.2e18, inf included

@@ -12,7 +12,6 @@ from geoperc.cascade import (
     isolated_reliable_count_check,
     parse_distribution,
     run_cascade,
-    vulnerable_probability,
 )
 from geoperc.geometry import PointSet, Region, generate_uniform
 from geoperc.graph import build_graph, components
@@ -102,13 +101,12 @@ class TestThresholdDistribution:
 
 
 class TestClassProbabilities:
-    def test_vulnerable_probability(self):
-        assert vulnerable_probability(UNIFORM, 3) == pytest.approx(1 / 3)
-        assert vulnerable_probability(HEAVY_LOW, 10) == pytest.approx(0.75, abs=1e-12)
+    def test_vulnerable_fraction_is_cdf_at_inverse_degree(self):
+        # a degree-k node is vulnerable with probability F(1/k)
+        assert UNIFORM.cdf(1 / 3) == pytest.approx(1 / 3)
+        assert HEAVY_LOW.cdf(1 / 10) == pytest.approx(0.75, abs=1e-12)
         # hand integration of the near-one density: F(0.5) = 0.5 / 999
-        assert vulnerable_probability(NEAR_ONE, 2) == pytest.approx(0.5 / 999, rel=1e-12)
-        with pytest.raises(ValueError):
-            vulnerable_probability(UNIFORM, 0)
+        assert NEAR_ONE.cdf(1 / 2) == pytest.approx(0.5 / 999, rel=1e-12)
 
     def test_reliable_probability(self):
         assert reliable_probabilities(UNIFORM, 0) == 1.0
@@ -155,7 +153,7 @@ class TestClassify:
         for k in (3, 4, 5, 6):
             at_k = g.degrees == k
             count = int(at_k.sum())
-            rho = vulnerable_probability(UNIFORM, k)
+            rho = UNIFORM.cdf(1 / k)
             sigma_k = reliable_probabilities(UNIFORM, k)
             se_v = math.sqrt(rho * (1 - rho) / count)
             se_r = math.sqrt(sigma_k * (1 - sigma_k) / count)

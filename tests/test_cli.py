@@ -8,6 +8,7 @@ import math
 import pathlib
 import re
 import shlex
+import tomllib
 
 import numpy as np
 import pytest
@@ -60,6 +61,11 @@ def test_critical_q_output(capsys):
     doc = json.loads(out)
     assert doc["q_c"] == pytest.approx(0.5)
     assert doc["version"] == geoperc.__version__
+
+
+def test_package_version_is_the_project_version():
+    with open(REPO / "pyproject.toml", "rb") as f:
+        assert geoperc.__version__ == tomllib.load(f)["project"]["version"]
 
 
 def test_non_finite_output_is_an_error_not_nan_json(capsys):

@@ -8,6 +8,7 @@ from geoperc.failures import (
     ThresholdAttack,
     apply_failures,
     degree_margin_rule,
+    failure_uniforms,
     parse_rule,
 )
 from geoperc.geometry import Region, TORUS, generate_poisson, generate_uniform
@@ -73,6 +74,14 @@ def box_graph():
 def test_zero_rate_keeps_everyone(box_graph):
     outcome = apply_failures(box_graph, IndependentFailure(0.0), seed=2)
     assert outcome.alive.all()
+
+
+def test_survivors_are_the_uniforms_at_or_above_q(box_graph):
+    rule = DegreeFunctionFailure((0.0, 0.1, 0.3, 0.5), 0.7)
+    u = failure_uniforms(6, len(box_graph))
+    outcome = apply_failures(box_graph, rule, seed=6)
+    assert np.array_equal(outcome.alive, u >= rule.probabilities(box_graph.degrees))
+    assert np.array_equal(failure_uniforms(6, 10), u[:10])  # u_i depends on (seed, i) only
 
 
 def test_attack_kills_every_high_degree_node(box_graph):

@@ -62,6 +62,19 @@ def test_generate_poisson_zero_lambda_is_empty_on_an_overflowing_area(lam):
         assert len(generate_poisson(lam, region, seed=1)) == 0
 
 
+def test_generate_poisson_small_lambda_on_an_overflowing_area():
+    # the area 1e310 overflows to inf, but the mean 1e-305 * 1e155 * 1e155 is 1e5
+    region = Region(1e155, 1e155)
+    assert region.area == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        count = len(generate_poisson(1e-305, region, seed=1))
+    assert abs(count - 1e5) < 5 * 1e5**0.5
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "lambda 1.0 times area inf gives inf expected points")):
+        generate_poisson(1.0, region, seed=1)
+
+
 @pytest.mark.parametrize(
     "lam", [np.nan, -1.0, -np.inf, pytest.param(10**400, id="int-past-float-range"),
             pytest.param(10**5000, id="int-past-str-limit"),
