@@ -148,13 +148,10 @@ def classify(graph: SpatialGraph, thresholds: np.ndarray) -> NodeClassification:
 class CascadeState:
     """Full history of one cascade: per-round failure sets and the final mask."""
 
-    thresholds: np.ndarray
     failed: np.ndarray
     rounds: tuple[np.ndarray, ...]
-    seed_node: int
 
     def __post_init__(self):
-        self.thresholds.setflags(write=False)
         self.failed.setflags(write=False)
         for r in self.rounds:
             r.setflags(write=False)
@@ -163,21 +160,12 @@ class CascadeState:
     def failed_count(self) -> int:
         return int(self.failed.sum())
 
-    def to_dict(self) -> dict:
-        return {
-            "seed_node": int(self.seed_node),
-            "rounds": [r.tolist() for r in self.rounds],
-            "failed": self.failed.tolist(),
-            "thresholds": self.thresholds.tolist(),
-        }
-
 
 def run_cascade(graph: SpatialGraph, thresholds: np.ndarray, seed_node: int) -> CascadeState:
     """Synchronous rounds: round 0 fails the seed; afterwards every operational
     node whose failed-neighbor fraction reaches its threshold fails."""
     n = len(graph)
-    # copy: the state freezes its arrays, which must not alias caller data
-    psi = np.array(thresholds, dtype=np.float64)
+    psi = np.asarray(thresholds, dtype=np.float64)
     if psi.shape != (n,):
         raise ValueError(f"threshold vector shape {psi.shape} does not match node count {n}")
     if not 0 <= seed_node < n:
@@ -200,7 +188,7 @@ def run_cascade(graph: SpatialGraph, thresholds: np.ndarray, seed_node: int) -> 
             break
         failed |= newly
         rounds.append(np.flatnonzero(newly))
-    return CascadeState(psi, failed, tuple(rounds), seed_node)
+    return CascadeState(failed, tuple(rounds))
 
 
 def isolated_reliable(graph: SpatialGraph, thresholds: np.ndarray) -> np.ndarray:

@@ -128,7 +128,12 @@ def _cmd_cascade(args) -> int:
         seed_node = draw_seed_node(args.seed, len(graph))
     state = run_cascade(graph, thresholds, seed_node)
     params = {"graph": args.graph, "dist": args.dist, "seed_node": args.seed_node}
-    doc = _document("cascade", params, args.seed, state.to_dict())
+    doc = _document("cascade", params, args.seed, {
+        "seed_node": int(seed_node),
+        "rounds": [r.tolist() for r in state.rounds],
+        "failed": state.failed.tolist(),
+        "thresholds": thresholds.tolist(),
+    })
     _emit(doc, args.out)
     return 0
 
@@ -139,7 +144,7 @@ def _cmd_sweep(args) -> int:
         key, records = "records", [r.to_dict() for r in run_cascade_trials(config)]
     else:
         key, records = "points", [{**p.params, "estimate": p.estimate, "stderr": p.stderr,
-                                   "trials": p.trials} for p in run_sweep(config).points]
+                                   "trials": config.trials} for p in run_sweep(config).points]
     if args.format == "csv":
         write_text(to_csv(records), args.out)
     else:

@@ -82,7 +82,6 @@ from .seeding import (
 )
 from .theory import LAMBDA_C, SubcriticalDensityError
 
-KINDS = ("percolation-sweep", "failure-sweep", "cascade-trial")
 PROXIES = ("crossing", "giant-fraction")
 SEEDINGS = ("random-node", "adjacent-to-largest-vulnerable-component")
 COUNT_MODES = ("poisson", "fixed")
@@ -117,8 +116,8 @@ class ExperimentConfig:
     region: Region = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if self.kind not in READS:
+            raise ValueError(f"kind must be one of {tuple(READS)}, got {self.kind!r}")
         numbers = {"width": self.width, "height": self.height, "radius": self.radius}
         numbers.update((f"lambdas[{i}]", lam) for i, lam in enumerate(self.lambdas))
         for name, value in numbers.items():
@@ -167,7 +166,6 @@ class PointResult:
     params: dict
     estimate: float
     stderr: float
-    trials: int
 
 
 @dataclass(frozen=True)
@@ -365,7 +363,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             params = {"lambda": lam} if rule is None else {"lambda": lam, "rule": rule.to_text()}
             est = float(rule_hits) / config.trials
             stderr = float(np.sqrt(est * (1.0 - est) / config.trials))
-            results.append(PointResult(params, est, stderr, config.trials))
+            results.append(PointResult(params, est, stderr))
     return SweepResult(config, tuple(results))
 
 
@@ -407,7 +405,6 @@ class BisectionResult:
     low: float
     high: float
     evaluations: tuple[tuple[float, float], ...]  # (parameter, estimate)
-    trials: int
     base_seed: int
     critical_values: tuple[float, ...]  # +-inf: the trial never crosses
 
@@ -436,7 +433,7 @@ class BisectionResult:
             "high": self.high,
             "midpoint": self.midpoint,
             "evaluations": [list(e) for e in self.evaluations],
-            "trials": self.trials,
+            "trials": len(self.critical_values),
             "base_seed": self.base_seed,
             "critical_values": [_finite_or_none(v) for v in self.critical_values],
             "median": _finite_or_none(self.median),
@@ -526,7 +523,7 @@ def _bisect(values: np.ndarray, lo: float, hi: float, target_width: float, risin
             lo = mid
         else:
             hi = mid
-    return BisectionResult(lo, hi, tuple(evals), len(values), base_seed, tuple(values.tolist()))
+    return BisectionResult(lo, hi, tuple(evals), base_seed, tuple(values.tolist()))
 
 
 def estimate_lambda_c(

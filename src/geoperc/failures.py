@@ -25,16 +25,21 @@ from .theory import MU_C
 
 
 class FailureRule:
-    """Base class; subclasses provide q(k) and its monotonicity."""
+    """Base class; subclasses provide q(k) and the degrees where it can change."""
 
     def probabilities(self, degrees) -> np.ndarray:
         raise NotImplementedError
 
-    def is_nondecreasing(self) -> bool:
+    def step_degrees(self):
+        """Ascending degrees such that q(k) is constant from each one up to
+        the next and past the last, so q at them reads every step of q."""
         raise NotImplementedError
 
+    def is_nondecreasing(self) -> bool:
+        return bool((np.diff(self.probabilities(self.step_degrees())) >= 0).all())
+
     def is_nonincreasing(self) -> bool:
-        raise NotImplementedError
+        return bool((np.diff(self.probabilities(self.step_degrees())) <= 0).all())
 
     def to_text(self) -> str:
         raise NotImplementedError
@@ -57,11 +62,8 @@ class IndependentFailure(FailureRule):
     def probabilities(self, degrees) -> np.ndarray:
         return np.full(np.shape(degrees), self.q, dtype=np.float64)
 
-    def is_nondecreasing(self) -> bool:
-        return True
-
-    def is_nonincreasing(self) -> bool:
-        return True
+    def step_degrees(self):
+        return [0]
 
     def to_text(self) -> str:
         return f"indep:{self.q!r}"
@@ -88,13 +90,8 @@ class DegreeFunctionFailure(FailureRule):
         out = np.where(k < len(arr), arr[np.minimum(k, len(arr) - 1)], self.tail)
         return out.astype(np.float64)
 
-    def is_nondecreasing(self) -> bool:
-        arr = np.asarray(self.table)
-        return bool(np.all(np.diff(arr) >= 0)) and self.tail >= arr[-1]
-
-    def is_nonincreasing(self) -> bool:
-        arr = np.asarray(self.table)
-        return bool(np.all(np.diff(arr) <= 0)) and self.tail <= arr[-1]
+    def step_degrees(self):
+        return range(len(self.table) + 1)
 
     def to_text(self) -> str:
         entries = ",".join(repr(q) for q in self.table)
@@ -114,11 +111,8 @@ class ThresholdAttack(FailureRule):
     def probabilities(self, degrees) -> np.ndarray:
         return (np.asarray(degrees) > self.phi).astype(np.float64)
 
-    def is_nondecreasing(self) -> bool:
-        return True
-
-    def is_nonincreasing(self) -> bool:
-        return False
+    def step_degrees(self):
+        return [self.phi, self.phi + 1]
 
     def to_text(self) -> str:
         return f"attack:{self.phi}"

@@ -87,9 +87,9 @@ def _poisson_pmf(mean: float, tol: float) -> np.ndarray:
     return np.asarray(terms)
 
 
-def _require_positive(value: float, what: str = "density") -> None:
+def _require_positive(value: float) -> None:
     if not value > 0:  # also refuses NaN
-        raise ValueError(f"{what} must be positive, got {value}")
+        raise ValueError(f"density must be positive, got {value}")
 
 
 def no_infinite_component_nondecreasing(lam: float, rule) -> ConditionResult:
@@ -159,18 +159,18 @@ def no_cascade_condition(lam: float, dist) -> ConditionResult:
     return ConditionResult(lhs, ONE_27TH, lhs < ONE_27TH, "<")
 
 
-def vulnerable_percolation_check(mu: float, mu1: float, dist, k0: int) -> ConditionResult:
+def vulnerable_percolation_check(mu: float, mu1: float, dist, block_edge: float) -> ConditionResult:
     """Sufficient condition F(1/k0) >= mu1/mu for a giant vulnerable component.
 
-    k0 is caller-supplied: the block cap it derives from is not computable in
-    closed form (see block_count_cap for the diagnostic value).
+    k0 = ceil(block_count_cap(mu / pi, block_edge)) is the degree bound inside
+    the renormalization blocks of edge block_edge > 4 at density mu / pi, the
+    unit-radius density of mean degree mu.
     """
     if not mu > mu1:
         raise ValueError(f"mu={mu} must exceed mu1={mu1}")
     if not mu1 > MU_C:
         raise ValueError(f"mu1={mu1} must exceed the critical mean degree {MU_C}")
-    if k0 < 1:
-        raise ValueError(f"k0 must be at least 1, got {k0}")
+    k0 = math.ceil(block_count_cap(mu / math.pi, block_edge))
     lhs = float(dist.cdf(1.0 / k0))
     threshold = mu1 / mu
     return ConditionResult(lhs, threshold, lhs >= threshold, ">=")

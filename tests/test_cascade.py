@@ -294,6 +294,41 @@ class TestRunCascade:
         assert sync[seed_node]
         assert bfs_component_sizes(g, sync) == [int(sync.sum())]
 
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32),
+        seed_node=st.integers(0, 179),
+        dist=st.sampled_from([HEAVY_LOW, NEAR_ONE, UNIFORM]),  # spreading, contained, uniform
+    )
+    def test_failed_set_between_percolation_bounds(self, seed, seed_node, dist):
+        # One failed neighbor triggers a vulnerable node, so the failed set holds
+        # every vulnerable component that holds or touches the seed. A reliable
+        # node fails only after all its neighbors, so it passes no cascade on:
+        # the failed set lies in the seed's component among the unreliable nodes
+        # and the seed, together with the reliable nodes all of whose neighbors
+        # lie in that component.
+        g = build_graph(generate_uniform(180, Region(5.0, 5.0), seed=seed), 1.0)
+        nbrs = neighbor_lists(g)
+        psi = dist.sample(len(g), seed + 11)
+        failed = run_cascade(g, psi, seed_node).failed
+        cls = classify(g, psi)
+
+        labels = components(g, cls.vulnerable).labels
+        touched = labels[[seed_node, *nbrs[seed_node]]]
+        lower = cls.vulnerable & np.isin(labels, touched[touched >= 0])
+        lower[seed_node] = True
+
+        unreliable = ~cls.reliable
+        unreliable[seed_node] = True
+        labels = components(g, unreliable).labels
+        upper = labels == labels[seed_node]
+        enclosed = np.array([bool(nb) and upper[nb].all() for nb in nbrs])
+        upper |= cls.reliable & enclosed
+
+        assert (lower <= failed).all() and (failed <= upper).all()
+        exposed = np.array([failed[nb].any() for nb in nbrs])
+        assert not (cls.vulnerable & ~failed & exposed).any()
+
 
 class TestVulnerableComponents:
     def test_no_vulnerable_nodes(self):

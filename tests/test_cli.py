@@ -8,6 +8,7 @@ import math
 import pathlib
 import re
 import shlex
+import sys
 import tomllib
 
 import numpy as np
@@ -138,7 +139,7 @@ def _reject_constant(name):
 
 
 def test_censored_trials_emit_null(capsys):
-    result = BisectionResult(1.4, 1.41, ((1.0, 0.0), (2.0, 1.0)), 3, 0, (1.45, math.inf, 1.38))
+    result = BisectionResult(1.4, 1.41, ((1.0, 0.0), (2.0, 1.0)), 0, (1.45, math.inf, 1.38))
     _emit(result.to_dict(), None)
     doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert doc["critical_values"] == [1.45, None, 1.38]
@@ -814,6 +815,25 @@ def test_json_is_read_and_written_only_in_io():
                 uses.append((path.name, "from json import", node.lineno))
     assert [use for use in uses if use[0] != "io.py"] == []
     assert [name for _, name, _ in uses].count("json.dumps") == 1
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """Every absolute import in the package is numpy or the standard library,
+    and numpy is the one dependency the project declares."""
+    outside = []
+    for path in sorted((REPO / "src" / "geoperc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside += [(path.name, module) for module in modules
+                        if module.partition(".")[0] not in {"numpy", *sys.stdlib_module_names}]
+    assert outside == []
+    with open(REPO / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["dependencies"] == ["numpy>=1.24"]
 
 
 def test_stream_layout_is_named_only_in_experiments_and_seeding():

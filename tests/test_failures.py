@@ -65,6 +65,28 @@ def test_monotonicity_flags():
     assert not bumpy.is_nondecreasing() and not bumpy.is_nonincreasing()
 
 
+_LEVELS = st.sampled_from([0.0, 0.25, 0.5, 1.0])  # few levels, so ties and monotone tables occur
+
+
+@settings(max_examples=200)
+@given(st.one_of(
+    st.builds(DegreeFunctionFailure, st.lists(_LEVELS, min_size=1, max_size=6).map(tuple), _LEVELS),
+    st.builds(IndependentFailure, _LEVELS),
+    st.builds(ThresholdAttack, st.integers(0, 6)),
+))
+def test_monotonicity_flags_match_brute_force(rule):
+    # q is constant past the table (or past phi + 1), so K + 3 degrees see every step
+    top = len(rule.table) if isinstance(rule, DegreeFunctionFailure) else getattr(rule, "phi", 0)
+    q = rule.probabilities(range(top + 3))
+    assert rule.is_nondecreasing() == bool((np.diff(q) >= 0).all())
+    assert rule.is_nonincreasing() == bool((np.diff(q) <= 0).all())
+
+
+def test_attack_flags_stay_cheap_at_any_threshold():
+    rule = ThresholdAttack(10**30)
+    assert rule.is_nondecreasing() and not rule.is_nonincreasing()
+
+
 @pytest.fixture(scope="module")
 def box_graph():
     pts = generate_uniform(2000, Region(25.0, 25.0), seed=31)
@@ -180,7 +202,7 @@ def test_degree_margin_rule_shape():
         degree_margin_rule(0.0, 5)
 
 
-@pytest.mark.parametrize("lam", [3.0, 5.0, 10.0])
+@pytest.mark.parametrize("lam", [3.0, 5.0, 10.0, 20.0, 40.0])
 def test_smallest_crossing_attack_threshold_exceeds_critical_phi(lam):
     # ThresholdAttack(phi) keeps exactly the nodes with -degree >= -phi, so
     # phi* = -crossing_level(graph, -degrees) is the smallest attack threshold

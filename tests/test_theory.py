@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from geoperc import theory
-from geoperc.cascade import ThresholdDistribution
+from geoperc.cascade import ThresholdDistribution, classify
 from geoperc.failures import DegreeFunctionFailure, IndependentFailure, ThresholdAttack
+from geoperc.geometry import Region, generate_poisson
+from geoperc.graph import build_graph, crosses
 from geoperc.theory import (
     COLLAR_AREA,
     LAMBDA_C,
+    MU_C,
     SubcriticalDensityError,
     block_count_cap,
     circuit_count_bound,
@@ -240,29 +243,61 @@ class TestSeriesTolerance:
                 evaluate()
 
 
+def _low_high_mix(s, eps):
+    """F_s = s U(0, eps) + (1 - s) U(0.999, 1): vulnerable mass rises with s."""
+    return ThresholdDistribution(((0.0, eps, s / eps), (eps, 0.999, 0.0),
+                                  (0.999, 1.0, (1.0 - s) / 0.001)))
+
+
 class TestVulnerablePercolationCheck:
+    # k0 = ceil(block_count_cap(mu / pi, 6)) = ceil(110 mu / pi)
     def test_point_mass_near_zero_always_passes(self):
         spike = ThresholdDistribution(((0.0, 1e-6, 1e6), (1e-6, 1.0, 0.0)))
-        res = vulnerable_percolation_check(mu=8.0, mu1=5.0, dist=spike, k0=50)
+        res = vulnerable_percolation_check(mu=8.0, mu1=5.0, dist=spike, block_edge=6.0)
+        assert res.lhs == 1.0  # 1/k0 = 1/281 is past the spike
         assert res.holds
 
     def test_uniform_example(self):
-        res = vulnerable_percolation_check(mu=25.0, mu1=5.0, dist=UNIFORM, k0=10)
-        assert res.lhs == pytest.approx(0.1)
-        assert not res.holds  # 0.1 < 0.2
+        res = vulnerable_percolation_check(mu=25.0, mu1=5.0, dist=UNIFORM, block_edge=6.0)
+        assert res.lhs == pytest.approx(1.0 / math.ceil(110.0 * 25.0 / math.pi))
+        assert not res.holds  # 1/876 < 0.2
 
     def test_heavy_low_example(self):
-        res = vulnerable_percolation_check(mu=10.0, mu1=5.0, dist=HEAVY_LOW, k0=10)
-        assert res.lhs == pytest.approx(0.75, abs=1e-12)
-        assert res.holds  # 0.75 >= 0.5
+        # F(1/k0) = 7.5 / k0 < mu1 / mu whenever mu1 > 7.5 pi / 110
+        res = vulnerable_percolation_check(mu=10.0, mu1=5.0, dist=HEAVY_LOW, block_edge=6.0)
+        assert res.lhs == pytest.approx(7.5 / math.ceil(110.0 * 10.0 / math.pi), abs=1e-12)
+        assert not res.holds
 
     def test_parameter_order_enforced(self):
-        with pytest.raises(ValueError):
-            vulnerable_percolation_check(mu=5.0, mu1=8.0, dist=UNIFORM, k0=10)
-        with pytest.raises(ValueError):
-            vulnerable_percolation_check(mu=8.0, mu1=2.0, dist=UNIFORM, k0=10)
-        with pytest.raises(ValueError):
-            vulnerable_percolation_check(mu=8.0, mu1=5.0, dist=UNIFORM, k0=0)
+        with pytest.raises(ValueError, match="must exceed mu1"):
+            vulnerable_percolation_check(mu=5.0, mu1=8.0, dist=UNIFORM, block_edge=6.0)
+        with pytest.raises(ValueError, match="critical mean degree"):
+            vulnerable_percolation_check(mu=8.0, mu1=2.0, dist=UNIFORM, block_edge=6.0)
+        with pytest.raises(ValueError, match="block edge length must exceed 4"):
+            vulnerable_percolation_check(mu=8.0, mu1=5.0, dist=UNIFORM, block_edge=4.0)
+
+    def test_holds_only_where_the_vulnerable_nodes_cross(self):
+        # On F_s with eps = 0.001 every k0 the block cap gives at these densities
+        # has 1/k0 > eps, so F_s(1/k0) = s and the check holds from s = mu1/mu.
+        # A tenth above that, most side-50 Poisson graphs have a left-right
+        # crossing of vulnerable nodes; with eps = 0.1 the check never holds.
+        mu1, block_edge = MU_C * (1.0 + 1e-9), 4.0 + 1e-9
+        for lam in (3.0, 5.0):
+            mu = math.pi * lam
+            s_theory = mu1 / mu
+
+            def check(s, eps=0.001):
+                return vulnerable_percolation_check(mu, mu1, _low_high_mix(s, eps), block_edge)
+
+            assert check(1.1 * s_theory).holds and not check(0.99 * s_theory).holds
+            assert not any(check(s, eps=0.1).holds for s in np.linspace(0.0, 1.0, 21))
+            dist = _low_high_mix(1.1 * s_theory, 0.001)
+            crossed = 0
+            for seed in range(20):
+                graph = build_graph(generate_poisson(lam, Region(50.0, 50.0), seed), 1.0)
+                psi = dist.sample(len(graph), seed + 1000)
+                crossed += crosses(graph, classify(graph, psi).vulnerable)
+            assert crossed >= 15, (lam, crossed)
 
 
 class TestBlockCountCap:
