@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SpatialGraph, _neighbor_counts
+from .graph import SpatialGraph, _neighbor_counts, _per_node
 from .seeding import generator_from_seed
 
 _MASS_TOLERANCE = 1e-12
@@ -133,10 +133,7 @@ def classify(graph: SpatialGraph, thresholds: np.ndarray) -> NodeClassification:
 
     vulnerable: k >= 1 and psi <= 1/k. reliable: k == 0 or psi > (k-1)/k.
     """
-    n = len(graph)
-    psi = np.asarray(thresholds, dtype=np.float64)
-    if psi.shape != (n,):
-        raise ValueError(f"threshold vector shape {psi.shape} does not match node count {n}")
+    psi = _per_node(graph, thresholds, np.float64, "threshold vector shape")
     k = graph.degrees
     safe_k = np.maximum(k, 1)
     vulnerable = (k >= 1) & (psi <= 1.0 / safe_k)
@@ -165,9 +162,7 @@ def run_cascade(graph: SpatialGraph, thresholds: np.ndarray, seed_node: int) -> 
     """Synchronous rounds: round 0 fails the seed; afterwards every operational
     node whose failed-neighbor fraction reaches its threshold fails."""
     n = len(graph)
-    psi = np.asarray(thresholds, dtype=np.float64)
-    if psi.shape != (n,):
-        raise ValueError(f"threshold vector shape {psi.shape} does not match node count {n}")
+    psi = _per_node(graph, thresholds, np.float64, "threshold vector shape")
     if not 0 <= seed_node < n:
         raise ValueError(f"seed node {seed_node} outside [0, {n})")
     # a node that no failure has reached has fraction 0 and must stay up

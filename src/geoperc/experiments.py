@@ -1,9 +1,9 @@
 """Monte Carlo harness: parameter sweeps, critical-point estimation, cascade trials.
 
 ``READS`` names the fields each config kind reads, and every other field must
-keep its default. Every trial draws its seed as splitmix64(splitmix64(base_seed)
-+ lam_index * trials + trial), so per-trial seeds are pairwise distinct within
-a sweep and results are bit-reproducible. One trial loop places the points of
+keep its default. Every trial draws its seed as substream(base_seed,
+lam_index * trials + trial) (see geoperc.seeding), so per-trial seeds are
+pairwise distinct within a sweep and results are bit-reproducible. One trial loop places the points of
 each (lambda, trial), a Poisson process at lambda, or n uniform points when a
 cascade trial gives n; a sweep builds one graph from them, and a failure sweep
 applies its rules to it with the same failure uniforms, an exact coupling.
@@ -170,7 +170,6 @@ class PointResult:
 
 @dataclass(frozen=True)
 class SweepResult:
-    config: ExperimentConfig
     points: tuple[PointResult, ...]
 
 
@@ -364,7 +363,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             est = float(rule_hits) / config.trials
             stderr = float(np.sqrt(est * (1.0 - est) / config.trials))
             results.append(PointResult(params, est, stderr))
-    return SweepResult(config, tuple(results))
+    return SweepResult(tuple(results))
 
 
 MEDIAN_CI_LEVEL = 0.95

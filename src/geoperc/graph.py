@@ -90,9 +90,6 @@ class SpatialGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def mean_degree(self) -> float:
-        return float(self.degrees.mean()) if len(self) else 0.0
-
 
 def _range_pairs(lo, hi):
     """Pairs (i, j) for every i and every j with lo[i] <= j < hi[i]."""
@@ -283,20 +280,26 @@ def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         v = v[split]
 
 
-def _alive_edges(graph: SpatialGraph, alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u, v = graph.edges.T
+def _alive_edges(u: np.ndarray, v: np.ndarray, alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges (u[k], v[k]) with both ends alive."""
     both = (alive[u] & alive[v]).nonzero()[0]
     return u[both], v[both]
+
+
+def _per_node(graph: SpatialGraph, values, dtype, what: str) -> np.ndarray:
+    """values as an array of dtype, which must hold one entry per node."""
+    values = np.asarray(values, dtype=dtype)
+    n = len(graph)
+    if values.shape != (n,):
+        raise ValueError(f"{what} {values.shape} does not match node count {n}")
+    return values
 
 
 def components(graph: SpatialGraph, alive) -> ComponentLabeling:
     """Components of the alive nodes, numbered in the order of their smallest node."""
     n = len(graph)
-    alive = np.asarray(alive, dtype=bool)
-    if alive.shape != (n,):
-        raise ValueError(f"alive mask length {alive.shape} does not match node count {n}")
-
-    roots = _component_roots(n, *_alive_edges(graph, alive))
+    alive = _per_node(graph, alive, bool, "alive mask length")
+    roots = _component_roots(n, *_alive_edges(*graph.edges.T, alive))
     # an alive component's root is its smallest node: rank them in node order
     rank = np.cumsum(alive & (roots == np.arange(n))) - 1
     labels = np.full(n, -1, dtype=np.int64)
@@ -340,16 +343,12 @@ def crosses(graph: SpatialGraph, alive) -> bool:
     node lies strictly within radius of the right edge (0 < width - x < r).
     """
     start, end = _strips(graph)
-    n = len(graph)
-    alive = np.asarray(alive, dtype=bool)
-    if alive.shape != (n,):
-        raise ValueError(f"alive mask length {alive.shape} does not match node count {n}")
-
+    alive = _per_node(graph, alive, bool, "alive mask length")
     start &= alive
     end &= alive
     if not start.any() or not end.any():
         return False
-    roots = _component_roots(n, *_alive_edges(graph, alive))
+    roots = _component_roots(len(graph), *_alive_edges(*graph.edges.T, alive))
     return bool(_spanning_roots(roots, start, end).any())
 
 
@@ -367,10 +366,7 @@ def crossing_level(graph: SpatialGraph, weights) -> float | None:
     least t. Each step labels only the edges between the nodes left.
     """
     start, end = _strips(graph)
-    n = len(graph)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (n,):
-        raise ValueError(f"weights length {weights.shape} does not match node count {n}")
+    weights = _per_node(graph, weights, np.float64, "weights length")
     if np.isnan(weights).any():
         raise ValueError("weights must not be NaN")
 
@@ -383,8 +379,7 @@ def crossing_level(graph: SpatialGraph, weights) -> float | None:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         alive = w >= levels[mid]
-        both = (alive[a] & alive[b]).nonzero()[0]
-        a_in, b_in = a[both], b[both]
+        a_in, b_in = _alive_edges(a, b, alive)
         roots = _component_roots(len(w), a_in, b_in)
         spanning = _spanning_roots(roots, s & alive, f & alive)
         if spanning.any():

@@ -1,16 +1,17 @@
 """Deterministic seed derivation for Monte Carlo trials.
 
-Every random draw in this package flows from a 64-bit integer seed. Per-trial
-seeds are derived from a base seed with the splitmix64 mixing function:
+Every random draw in this package flows from a 64-bit integer seed, and every
+derived seed comes from one mixer built on the splitmix64 function:
 
-    trial_seed = splitmix64(splitmix64(base_seed) + lam_index * trials + trial_index)
+    substream(seed, index) = splitmix64(splitmix64(seed) + index)
+    trial_seed = substream(base_seed, lam_index * trials + trial_index)
 
 The harness keys a trial by its lambda index, so every failure rule of a sweep
 at one lambda shares the trial's graph and failure uniforms. splitmix64 is a
 bijection on uint64, so distinct (lambda index, trial) pairs within a sweep get
 distinct trial seeds. Independent substreams of one trial (point placement,
 failure draws, threshold draws, seed-node choice) are keyed by a small stream
-index through the same mixer.
+index.
 
 Generators are counter-based (Philox): the i-th variate of a stream is a pure
 function of (seed, i), so the uniform assigned to node i never depends on how
@@ -48,7 +49,7 @@ def derive_seed(base_seed: int, point_index: int, trial_index: int, trials_per_p
     """Seed for one trial at one sweep index; injective within a sweep."""
     if trial_index < 0 or trial_index >= trials_per_point:
         raise ValueError(f"trial_index {trial_index} outside [0, {trials_per_point})")
-    return splitmix64(splitmix64(base_seed & MASK64) + point_index * trials_per_point + trial_index)
+    return substream(base_seed, point_index * trials_per_point + trial_index)
 
 
 def substream(seed: int, stream: int) -> int:

@@ -12,6 +12,7 @@ margins, never just the boolean.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -43,14 +44,22 @@ TAIL_MASS = 1e-12
 _MAX_TERMS = 200_000
 
 
+# The comparison each relation names, applied as lhs <relation> threshold.
+_RELATIONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+
+
 @dataclass(frozen=True)
 class ConditionResult:
-    """Raw LHS value of a condition plus the threshold it is compared against."""
+    """Raw LHS value of a condition, the threshold it is compared against, and
+    the relation between them under which the condition holds."""
 
     lhs: float
     threshold: float
-    holds: bool
     relation: str  # ">" or ">=" or "<"
+
+    @property
+    def holds(self) -> bool:
+        return _RELATIONS[self.relation](self.lhs, self.threshold)
 
 
 def critical_q(lam: float) -> float:
@@ -105,8 +114,7 @@ def no_infinite_component_nondecreasing(lam: float, rule) -> ConditionResult:
     ks = np.arange(1, len(pmf))
     q = rule.probabilities(ks - 1)
     lhs = float(pmf[0] + np.sum(pmf[1:] * q**ks))
-    threshold = 1.0 - ONE_27TH
-    return ConditionResult(lhs, threshold, lhs > threshold, ">")
+    return ConditionResult(lhs, 1.0 - ONE_27TH, ">")
 
 
 def _collar_double_series(lam: float, survive_factor) -> float:
@@ -134,8 +142,7 @@ def no_infinite_component_nonincreasing(lam: float, rule) -> ConditionResult:
     _require_positive(lam)
     if not rule.is_nonincreasing():
         raise ValueError("this condition requires a non-increasing failure rule")
-    lhs = _collar_double_series(lam, rule.probabilities)
-    return ConditionResult(lhs, ONE_27TH, lhs < ONE_27TH, "<")
+    return ConditionResult(_collar_double_series(lam, rule.probabilities), ONE_27TH, "<")
 
 
 def reliable_probabilities(dist, ks) -> np.ndarray:
@@ -156,7 +163,7 @@ def no_cascade_condition(lam: float, dist) -> ConditionResult:
     """
     _require_positive(lam)
     lhs = _collar_double_series(lam, lambda j: reliable_probabilities(dist, j))
-    return ConditionResult(lhs, ONE_27TH, lhs < ONE_27TH, "<")
+    return ConditionResult(lhs, ONE_27TH, "<")
 
 
 def vulnerable_percolation_check(mu: float, mu1: float, dist, block_edge: float) -> ConditionResult:
@@ -171,9 +178,7 @@ def vulnerable_percolation_check(mu: float, mu1: float, dist, block_edge: float)
     if not mu1 > MU_C:
         raise ValueError(f"mu1={mu1} must exceed the critical mean degree {MU_C}")
     k0 = math.ceil(block_count_cap(mu / math.pi, block_edge))
-    lhs = float(dist.cdf(1.0 / k0))
-    threshold = mu1 / mu
-    return ConditionResult(lhs, threshold, lhs >= threshold, ">=")
+    return ConditionResult(float(dist.cdf(1.0 / k0)), mu1 / mu, ">=")
 
 
 def block_count_cap(lam: float, block_edge: float) -> float:
@@ -286,9 +291,3 @@ def count_circuits_of_length(edge_count: int) -> int:
             extend(start, edge_count, start)
     return count
 
-
-def enumerate_circuits(m: int) -> int:
-    """Exact circuit count gamma(2m) by exhaustive enumeration; 2 <= m <= 6."""
-    if not 2 <= m <= 6:
-        raise ValueError(f"half-length must be in [2, 6], got {m}")
-    return count_circuits_of_length(2 * m)

@@ -31,7 +31,6 @@ from geoperc.theory import (
     circuit_count_bound,
     count_circuits_of_length,
     critical_phi,
-    enumerate_circuits,
     no_cascade_condition,
     no_infinite_component_nondecreasing,
     no_infinite_component_nonincreasing,
@@ -79,7 +78,7 @@ def test_criterion_3_degree_dependent_failures():
         seed = derive_seed(42, 0, t, trials)
         pts = generate_uniform(1600, region, substream(seed, STREAM_PLACEMENT))
         g = build_graph(pts, 1.0)
-        rule = degree_margin_rule(g.mean_degree(), int(g.degrees.max()))
+        rule = degree_margin_rule(float(g.degrees.mean()), int(g.degrees.max()))
         out = apply_failures(g, rule, substream(seed, STREAM_FAILURES))
         operational = int(out.alive.sum())
         if operational and components(g, out.alive).largest_size >= 0.5 * operational:
@@ -157,7 +156,7 @@ def test_criterion_5_series_match_monte_carlo_oracles():
 def test_criterion_6_circuit_enumeration():
     counts = {}
     for m in range(2, 6):
-        counts[2 * m] = enumerate_circuits(m)
+        counts[2 * m] = count_circuits_of_length(2 * m)
         assert counts[2 * m] <= circuit_count_bound(m)
     assert counts[4] == 1
     assert all(count_circuits_of_length(L) == 0 for L in (5, 7, 9, 11))

@@ -122,7 +122,7 @@ def test_poisson_torus_mean_degree_matches_closed_form():
     mean_degrees = []
     for s in range(100):
         g = build_graph(generate_poisson(1.44, region, seed=s), 1.0)
-        mean_degrees.append(g.mean_degree())
+        mean_degrees.append(float(g.degrees.mean()))
     mean_degrees = np.array(mean_degrees)
     expected = 1.44 * np.pi
     se = mean_degrees.std(ddof=1) / 10
@@ -136,6 +136,6 @@ def test_open_box_mean_degree_strictly_smaller():
     for s in range(30):
         pts_t = generate_poisson(1.44, torus, seed=s)
         pts_b = PointSet(pts_t.coordinates, box)
-        torus_means.append(build_graph(pts_t, 1.0).mean_degree())
-        box_means.append(build_graph(pts_b, 1.0).mean_degree())
+        torus_means.append(float(build_graph(pts_t, 1.0).degrees.mean()))
+        box_means.append(float(build_graph(pts_b, 1.0).degrees.mean()))
     assert np.mean(box_means) < np.mean(torus_means)

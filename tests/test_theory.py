@@ -20,7 +20,6 @@ from geoperc.theory import (
     count_circuits_of_length,
     critical_phi,
     critical_q,
-    enumerate_circuits,
     no_cascade_condition,
     no_infinite_component_nondecreasing,
     no_infinite_component_nonincreasing,
@@ -366,11 +365,11 @@ class TestCircuits:
             circuit_count_bound(1)
 
     def test_unit_square_is_unique_shortest(self):
-        assert enumerate_circuits(2) == 1
+        assert count_circuits_of_length(4) == 1
 
     def test_counts_within_bounds(self):
         for m in range(2, 6):
-            assert enumerate_circuits(m) <= circuit_count_bound(m)
+            assert count_circuits_of_length(2 * m) <= circuit_count_bound(m)
 
     def test_known_small_counts(self):
         # census by polyomino shape: circuits of perimeter 2m containing a
@@ -384,9 +383,3 @@ class TestCircuits:
         assert count_circuits_of_length(5) == 0
         assert count_circuits_of_length(7) == 0
         assert count_circuits_of_length(9) == 0
-
-    def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            enumerate_circuits(1)
-        with pytest.raises(ValueError):
-            enumerate_circuits(7)
