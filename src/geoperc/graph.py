@@ -57,6 +57,7 @@ stable sort of the same keys gives the same permutation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,8 +174,9 @@ def build_graph(points: PointSet, radius: float = 1.0) -> SpatialGraph:
     ncx = max(1, int(min(region.width / radius, 2**31)))
     ncy = max(1, int(min(region.height / radius, 2**31)))
     coords = points.coordinates
-    ix = np.minimum((coords[:, 0] * (ncx / region.width)).astype(np.int64), ncx - 1)
-    iy = np.minimum((coords[:, 1] * (ncy / region.height)).astype(np.int64), ncy - 1)
+    # by the cell side, as nc / side overflows on a side below about 5.6e-309
+    ix = np.minimum((coords[:, 0] / (region.width / ncx)).astype(np.int64), ncx - 1)
+    iy = np.minimum((coords[:, 1] / (region.height / ncy)).astype(np.int64), ncy - 1)
     # padded ids: one empty column on each side and one row on top, so every
     # half-offset of a cell is the cell's id plus a constant
     cell = iy * (ncx + 2) + ix + 1
@@ -183,35 +185,44 @@ def build_graph(points: PointSet, radius: float = 1.0) -> SpatialGraph:
     order = np.argsort(cell.astype(np.min_scalar_type((ncx + 2) * (ncy + 1) - 1)), kind="stable")
     x, y = coords[order].T.copy()
 
-    r2 = radius * radius
+    # distances in units of 2**-shift, with the radius in [1, 2): scaling by
+    # a power of two is exact, so r2 never leaves the normal floats and the
+    # test is the plain one wherever radius**2 is a normal float
+    shift = 1 - math.frexp(radius)[1]
+    r2 = math.ldexp(radius, shift) ** 2
     # keys min(a, b) << bits | max(a, b) sort lexicographically
     bits = max(1, (n - 1).bit_length())
     keys = []
-    for left, right in _candidate_pairs(cell[order], ncx, ncy, torus):
-        # squared distances in place; off a torus squaring drops the sign
-        dx = x[left]
-        dx -= x[right]
-        dy = y[left]
-        dy -= y[right]
-        if torus:
-            np.abs(dx, out=dx)
-            np.minimum(dx, region.width - dx, out=dx)
-            np.abs(dy, out=dy)
-            np.minimum(dy, region.height - dy, out=dy)
-        dx *= dx
-        dy *= dy
-        dx += dy
-        close = (dx <= r2).nonzero()[0]
-        # free this chunk's arrays before the generator makes the next one's
-        del dx, dy
-        a = order[left[close]]
-        b = order[right[close]]
-        del left, right, close
-        key = np.minimum(a, b)
-        key <<= bits
-        key |= np.maximum(a, b, out=b)
-        keys.append(key)
-        del a, b
+    # a scaled or squared distance past the float range is inf, not within radius
+    with np.errstate(over="ignore"):
+        for left, right in _candidate_pairs(cell[order], ncx, ncy, torus):
+            # squared distances in place; off a torus squaring drops the sign
+            dx = x[left]
+            dx -= x[right]
+            dy = y[left]
+            dy -= y[right]
+            if torus:
+                np.abs(dx, out=dx)
+                np.minimum(dx, region.width - dx, out=dx)
+                np.abs(dy, out=dy)
+                np.minimum(dy, region.height - dy, out=dy)
+            if shift:
+                np.ldexp(dx, shift, out=dx)
+                np.ldexp(dy, shift, out=dy)
+            dx *= dx
+            dy *= dy
+            dx += dy
+            close = (dx <= r2).nonzero()[0]
+            # free this chunk's arrays before the generator makes the next one's
+            del dx, dy
+            a = order[left[close]]
+            b = order[right[close]]
+            del left, right, close
+            key = np.minimum(a, b)
+            key <<= bits
+            key |= np.maximum(a, b, out=b)
+            keys.append(key)
+            del a, b
     key = np.concatenate(keys)
     del keys
     # wrap-around offsets revisit a cell pair only on a torus axis with < 3 cells

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import hypothesis
 import numpy as np
@@ -17,19 +18,24 @@ hypothesis.settings.load_profile("default")
 
 
 def brute_force_edges(points, radius):
-    """All-pairs oracle for adjacency, honoring the torus metric."""
+    """All-pairs oracle for adjacency, honoring the torus metric, exact on the
+    float coordinate differences at every radius: np.hypot(dx, dy) / radius
+    decides the clear cases, and rational arithmetic the near-ties, so no
+    square leaves the float range."""
     c = points.coordinates
-    n = len(c)
     region = points.region
     dx = np.abs(c[:, None, 0] - c[None, :, 0])
     dy = np.abs(c[:, None, 1] - c[None, :, 1])
     if region.boundary == "torus":
         dx = np.minimum(dx, region.width - dx)
         dy = np.minimum(dy, region.height - dy)
-    d2 = dx * dx + dy * dy
-    return {
-        (i, j) for i in range(n) for j in range(i + 1, n) if d2[i, j] <= radius * radius
-    }
+    with np.errstate(over="ignore"):  # past the float range is inf, far outside
+        ratio = np.hypot(dx, dy) / radius
+    within = ratio < 1
+    r2 = Fraction(radius) ** 2
+    for i, j in zip(*(abs(ratio - 1) <= 1e-6).nonzero()):
+        within[i, j] = Fraction(dx[i, j]) ** 2 + Fraction(dy[i, j]) ** 2 <= r2
+    return set(zip(*(part.tolist() for part in np.triu(within, 1).nonzero())))
 
 
 def neighbor_lists(graph):

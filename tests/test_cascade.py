@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,10 @@ class TestThresholdDistribution:
             ThresholdDistribution(((0.0, 0.5, 1.0), (0.6, 1.0, 1.25)))  # gap
         with pytest.raises(ValueError):
             ThresholdDistribution(((0.0, 1.0, 0.9),))  # mass != 1
+        with pytest.raises(ValueError, match=re.escape("piece 1 has empty interval (0.5, 0.5]")):
+            ThresholdDistribution(((0.0, 0.5, 1.0), (0.5, 0.5, 1.0), (0.5, 1.0, 1.0)))
+        with pytest.raises(ValueError, match="piece 0 has negative density -1.0"):
+            ThresholdDistribution(((0.0, 0.5, -1.0), (0.5, 1.0, 3.0)))  # mass 1
 
     def test_cdf_values(self):
         assert UNIFORM.cdf(0.5) == pytest.approx(0.5)
@@ -138,6 +143,14 @@ class TestClassify:
         cls = classify(g, np.array([0.25, 0.9, 0.9, 0.9]))
         assert cls.vulnerable[0]
         assert not cls.reliable[0]
+
+    def test_threshold_vector_length_checked(self):
+        g = _graph_from_coords([[1.0, 1.0], [1.5, 1.0]])
+        message = re.escape("threshold vector shape (3,) does not match node count 2")
+        with pytest.raises(ValueError, match=message):
+            classify(g, np.full(3, 0.5))
+        with pytest.raises(ValueError, match=message):
+            run_cascade(g, np.full(3, 0.5), seed_node=0)
 
     def test_degree_zero_reliable(self):
         g = _graph_from_coords([[1.0, 1.0], [5.0, 5.0]])

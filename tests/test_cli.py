@@ -18,9 +18,12 @@ import geoperc
 from geoperc.cli import _emit, build_parser, main
 from geoperc.cascade import distribution_to_text
 from geoperc.experiments import (
+    BRACKET_WIDTH,
     BisectionResult,
     CascadeTrialRecord,
     ExperimentConfig,
+    estimate_lambda_c,
+    estimate_qc,
     run_cascade_trials,
 )
 from geoperc.failures import apply_failures, parse_rule
@@ -36,6 +39,7 @@ from geoperc.io import (
 from geoperc.geometry import Region, generate_uniform
 from geoperc.graph import build_graph
 from geoperc.seeding import STREAM_FAILURES, substream
+from geoperc.theory import no_infinite_component_nonincreasing
 
 from conftest import trial_graph
 from test_acceptance import HEAVY_LOW, NEAR_ONE
@@ -357,6 +361,26 @@ def test_failure_condition_output(capsys):
     assert doc["condition"] == "no-infinite-component-nondecreasing"
 
 
+def test_failure_condition_nonincreasing_rule(capsys):
+    rule = "table:0.5,0.3;tail=0.1"
+    code, out, err = run_cli(capsys, "theory", "failure-condition", "--lambda", "2.56",
+                             "--rule", rule)
+    assert (code, err) == (0, "")
+    doc = _strict_json(out)
+    res = no_infinite_component_nonincreasing(2.56, parse_rule(rule))
+    assert doc["condition"] == "no-infinite-component-nonincreasing"
+    assert (doc["lhs"], doc["threshold"], doc["relation"]) == (res.lhs, 1 / 27, "<")
+    assert doc["holds"] is (res.lhs < 1 / 27)
+
+
+def test_failure_condition_non_monotone_rule_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "theory", "failure-condition", "--lambda", "2.56",
+                             "--rule", "table:0.1,0.5;tail=0.2")
+    assert (code, out) == (1, "")
+    assert err == ("error: rule 'table:0.1,0.5;tail=0.2' is neither non-decreasing "
+                   "nor non-increasing\n")
+
+
 def test_cascade_condition_output(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -503,6 +527,24 @@ def test_estimate_width_flag_is_unrecognized(capsys, argv):
     assert "error: unrecognized arguments: --width 0.01\n" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, estimate",
+    [(["lambda-c"], lambda: estimate_lambda_c(trials=20, base_seed=5)),
+     (["qc", "--lambda", "2.87"], lambda: estimate_qc(2.87, trials=20, base_seed=5))],
+    ids=["lambda-c", "qc"],
+)
+def test_estimate_document_is_the_estimator_result(capsys, argv, estimate):
+    code, out, err = run_cli(capsys, "estimate", *argv, "--trials", "20", "--seed", "5")
+    assert (code, err) == (0, "")
+    doc = _strict_json(out)
+    assert doc["command"] == f"estimate {argv[0]}"
+    assert doc["params"]["width"] == BRACKET_WIDTH
+    assert doc["seed"] == 5
+    payload = {key: value for key, value in doc.items()
+               if key not in ("version", "command", "params", "seed")}
+    assert payload == estimate().to_dict()
+
+
 @pytest.mark.parametrize("argv", [["lambda-c"], ["qc", "--lambda", "2.87"]])
 def test_estimate_side_below_50_radii_is_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, "estimate", *argv, "--side", "0", "--trials", "2",
@@ -510,6 +552,16 @@ def test_estimate_side_below_50_radii_is_one_error_line(capsys, argv):
     assert code == 1
     assert out == ""
     assert err == "error: region side 0.0 must be at least 50 radii (50.0)\n", err
+
+
+def test_generate_side_below_float_cell_scale(capsys):
+    # cells per unit height, 1 / 5e-324, overflow a float
+    code, out, err = run_cli(capsys, "generate", "--width", "1", "--height", "5e-324",
+                             "--n", "2", "--seed", "3")
+    assert (code, err) == (0, "")
+    graph = graph_from_dict(_strict_json(out))
+    assert graph.points.region.height == 5e-324
+    assert graph.edges.tolist() == [[0, 1]]
 
 
 def test_generate_then_fail_attack(tmp_path, capsys):

@@ -58,6 +58,10 @@ def test_config_validation():
         ExperimentConfig(kind="mystery", width=10, height=10)
     with pytest.raises(ValueError, match="kind must be one of"):
         ExperimentConfig(kind="lambda-c-estimate", width=10, height=10)
+    for name in ("proxy", "seeding", "count_mode"):
+        with pytest.raises(ValueError, match=f"{name} must be one of .*, got 'bogus'"):
+            ExperimentConfig(kind="percolation-sweep", width=10, height=10, lambdas=(1.0,),
+                             **{name: "bogus"})
 
 
 def test_base_seed_outside_64_bits_rejected_by_name():

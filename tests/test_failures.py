@@ -36,6 +36,8 @@ def test_parse_rule_forms():
     for bad in ("indep", "weird:1", "table:0,x", "indep:2.0"):
         with pytest.raises(ValueError):
             parse_rule(bad)
+    with pytest.raises(ValueError, match="unknown table option 'foo'"):
+        parse_rule("table:0.1;foo=1")
 
 
 def test_attack_equals_degree_table():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -165,6 +166,55 @@ def test_numpy_scalar_sides_overflow_without_warning():
         warnings.simplefilter("error")
         g = build_graph(pts, 1e-300)
     assert g.edges.tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize(
+    "coords, region, radius, edges",
+    [([[0.0, 0.0], [3e-300, 0.0]], Region(1.0, 1.0), 1e-300, []),
+     ([[0.0, 0.0], [1e-300, 0.0]], Region(1.0, 1.0), 1e-300, [[0, 1]]),
+     ([[0.5, 0.0], [0.5, 1.9e300]], Region(1.0, 1e308), 1e300, []),
+     ([[0.5, 0.0], [0.5, 1e300]], Region(1.0, 1e308), 1e300, [[0, 1]])],
+    ids=["3-radii-r2-underflows", "tie-r2-underflows", "1.9-radii-r2-overflows",
+         "tie-r2-overflows"],
+)
+def test_extreme_radius_compares_distances_not_overflowed_squares(coords, region, radius, edges):
+    # radius**2 is 0 at 1e-300 and inf at 1e300; distances in units of a
+    # power of two near the radius keep every square in the float range
+    assert build_graph(PointSet(coords, region), radius).edges.tolist() == edges
+
+
+@pytest.mark.parametrize("boundary", [OPEN_BOX, TORUS])
+def test_side_below_float_cell_scale(boundary):
+    # cells per unit height, 1 / 5e-324, overflow to inf, and 0 * inf is a NaN
+    # cell index; the cell side itself is a float
+    pts = PointSet([[0.78, 0.0], [0.48, 5e-324], [0.1, 5e-324]], Region(1.0, 5e-324, boundary))
+    _assert_canonical_layout(build_graph(pts, 1.0), pts, 1.0)
+
+
+_SIDES = st.floats(min_value=0.0, max_value=1.7976931348623157e308, exclude_min=True)
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 25),
+    boundary=st.sampled_from([OPEN_BOX, TORUS]),
+    width=_SIDES,
+    height=_SIDES,
+    radius=_SIDES,
+)
+def test_any_sides_and_radius_match_exact_oracle(seed, n, boundary, width, height, radius):
+    # the points sit in a window a few radii wide, so pairs near the radius
+    # occur at every scale, and some get a partner one radius to the right
+    rng = np.random.default_rng(seed)
+    size = np.array([width, height])
+    with np.errstate(over="ignore"):
+        span = np.minimum(size, 4.0 * radius)
+        coords = np.minimum(rng.random(2) * (size - span) + rng.random((n, 2)) * span, size)
+        partners = coords[: n // 3] + (radius, 0.0)
+    coords = np.vstack((coords, partners[partners[:, 0] <= width]))
+    pts = PointSet(coords, Region(width, height, boundary))
+    _assert_canonical_layout(build_graph(pts, radius), pts, radius)
 
 
 def _sparse_region_points(case, seed, boundary):
@@ -339,8 +389,10 @@ def test_graph_layer_peak_memory_guard():
 
 
 def test_components_mask_length_checked(medium_graph):
-    with pytest.raises(ValueError):
-        components(medium_graph, np.ones(3, dtype=bool))
+    message = re.escape("alive mask length (3,) does not match node count 500")
+    for func in (components, crosses):
+        with pytest.raises(ValueError, match=message):
+            func(medium_graph, np.ones(3, dtype=bool))
 
 
 @settings(max_examples=40)
@@ -416,7 +468,7 @@ def test_crossing_level_rejects_bad_input():
     g = _graph_from_coords([[1.0, 1.0], [1.5, 1.0]])
     with pytest.raises(ValueError, match="NaN"):
         crossing_level(g, np.array([0.5, np.nan]))
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match=re.escape("weights length (3,) does not match node count 2")):
         crossing_level(g, np.zeros(3))
 
 
