@@ -2,8 +2,8 @@
 
 ``READS`` names the fields each config kind reads, and every other field must
 keep its default. Every trial draws its seed as substream(base_seed,
-lam_index * trials + trial) (see geoperc.seeding), so per-trial seeds are
-pairwise distinct within a sweep and results are bit-reproducible. One trial loop places the points of
+lam_index * trials + trial), so per-trial seeds are pairwise distinct within
+a sweep and results are bit-reproducible. One trial loop places the points of
 each (lambda, trial), a Poisson process at lambda, or n uniform points when a
 cascade trial gives n; a sweep builds one graph from them, and a failure sweep
 applies its rules to it with the same failure uniforms, an exact coupling.

@@ -290,4 +290,3 @@ def count_circuits_of_length(edge_count: int) -> int:
             on_path = {start}
             extend(start, edge_count, start)
     return count
-
