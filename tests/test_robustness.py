@@ -21,6 +21,8 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 
 from geoperc.cli import main
 
+from test_cli import _strict_json
+
 EXTREME_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
                   sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan)
 FLOATS = st.one_of(st.sampled_from(EXTREME_FLOATS + (0.3, 1.0, 2.87, 7.11, 50.0)), st.floats())
@@ -61,13 +63,6 @@ DISTRIBUTIONS = st.one_of(
 
 def _flag(name, value):
     return f"{name}={value!r}"
-
-
-def _strict_json(text):
-    def reject(constant):
-        raise ValueError(f"non-strict JSON constant {constant}")
-
-    return json.loads(text, parse_constant=reject)
 
 
 def _run(argv):
@@ -171,11 +166,11 @@ def test_fail_and_cascade_end_cleanly(tmp_path_factory, graph, command, seed):
 # valid configs of each kind at ordinary sizes ...
 COMMON = {"region": st.fixed_dictionaries({"width": ORDINARY, "height": ORDINARY}),
           "radius": st.floats(0.3, 3.0), "trials": st.integers(1, 3), "base_seed": SEEDS}
-GIANT = {"proxy": st.just("giant-fraction")}
 VALID_CONFIGS = st.one_of(
     st.fixed_dictionaries({"kind": st.just("percolation-sweep"), **COMMON,
                            "lambdas": st.lists(ORDINARY, min_size=1, max_size=3)}),
-    st.fixed_dictionaries({"kind": st.just("failure-sweep"), **COMMON, **GIANT,
+    st.fixed_dictionaries({"kind": st.just("failure-sweep"), **COMMON,
+                           "proxy": st.just("giant-fraction"),
                            "lambdas": st.lists(ORDINARY, min_size=1, max_size=3),
                            "rules": st.lists(VALID_RULES, min_size=1, max_size=3)}),
     st.fixed_dictionaries({"kind": st.just("cascade-trial"), **COMMON,
