@@ -75,11 +75,7 @@ class ThresholdDistribution:
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Inverse-CDF sampling of n thresholds; deterministic given seed."""
-        gen = generator_from_seed(seed)
-        u = gen.random(n)
-        while (u == 0.0).any():  # keep psi strictly inside (0, 1)
-            zero = u == 0.0
-            u[zero] = gen.random(int(zero.sum()))
+        u = generator_from_seed(seed).random(n)
         positive = [(a, b, d * (b - a)) for a, b, d in self.pieces if d > 0]
         starts = np.array([a for a, _, _ in positive])
         widths = np.array([b - a for a, b, _ in positive])

@@ -198,17 +198,6 @@ def draw_seed_node(trial_seed: int, count: int) -> int:
     return int(generator_from_seed(substream(trial_seed, STREAM_SEED_NODE)).integers(count))
 
 
-def _trial_points(config: ExperimentConfig, lam_index: int, trial_seed: int) -> PointSet:
-    lam = config.lambdas[lam_index] if config.lambdas else 0.0
-    return place_points(trial_seed, config.region, config.n, lam)
-
-
-def trial_seeds(config: ExperimentConfig, lam_index: int) -> list[int]:
-    return [
-        derive_seed(config.base_seed, lam_index, t, config.trials) for t in range(config.trials)
-    ]
-
-
 # Fewest trials per worker process; a batch under twice this runs serial.
 _MIN_TRIALS_PER_WORKER = 8
 
@@ -259,15 +248,20 @@ def _collect(pid: int, read_fd: int) -> list:
 
 def _over_trials(config: ExperimentConfig, lam_index: int, evaluate) -> list:
     """evaluate(seed, points) per trial at one lambda index, in trial order, on
-    the trial's placed points; one trial's points alive at a time per process.
-    Trial t runs in worker t mod w of _worker_count's w: worker 0 is this
-    process, each other one a forked child that pipes back its list of results."""
-    seeds = trial_seeds(config, lam_index)
-    workers = _worker_count(len(seeds))
+    the trial's placed points. A trial's seed and points are made when it runs,
+    so one trial's points are alive at a time per process and nothing grows
+    with the trial count but the results. Trial t runs in worker t mod w of
+    _worker_count's w: worker 0 is this process, each other one a forked child
+    that pipes back its list of results."""
+    trials = config.trials
+    lam = config.lambdas[lam_index] if config.lambdas else 0.0  # unread when n is given
+    workers = _worker_count(trials)
 
     def run_share(worker: int) -> list:
-        return [evaluate(seed, _trial_points(config, lam_index, seed))
-                for seed in seeds[worker::workers]]
+        seeds = (derive_seed(config.base_seed, lam_index, t, trials)
+                 for t in range(worker, trials, workers))
+        return [evaluate(seed, place_points(seed, config.region, config.n, lam))
+                for seed in seeds]
 
     if workers == 1:
         return run_share(0)
@@ -293,7 +287,7 @@ def _over_trials(config: ExperimentConfig, lam_index: int, evaluate) -> list:
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    results = [None] * len(seeds)
+    results = [None] * trials
     for worker, share in enumerate(shares):
         results[worker::workers] = share
     return results

@@ -4,13 +4,8 @@ A failure rule maps a node's degree in the ORIGINAL graph to a failure
 probability q(k). Node i fails iff u_i < q(k_i), where u_i is the i-th value
 of the counter-based uniform stream keyed by the seed. Sharing the stream
 across rules gives an exact monotone coupling: pointwise larger q can only
-kill more nodes under the same seed. ``experiments.run_sweep`` gives every
-rule at one lambda the same trial graphs and failure seed. On a graph, a rule
-whose q(k) is at least as large at every degree up to the maximum keeps a
-subset of another rule's survivors, so a proxy hit at the harsher rule is a
-hit at the milder one, and a miss at the milder one a miss at the harsher.
-run_sweep labels only the rules these implications leave open, which leaves
-every indicator exactly what labeling its rule would give.
+kill more nodes under the same seed. ``experiments.run_sweep`` reads this
+coupling to decide rules without labeling them; its module docstring says how.
 """
 
 from __future__ import annotations
@@ -87,8 +82,7 @@ class DegreeFunctionFailure(FailureRule):
     def probabilities(self, degrees) -> np.ndarray:
         k = np.asarray(degrees, dtype=np.int64)
         arr = np.asarray(self.table, dtype=np.float64)
-        out = np.where(k < len(arr), arr[np.minimum(k, len(arr) - 1)], self.tail)
-        return out.astype(np.float64)
+        return np.where(k < len(arr), arr[np.minimum(k, len(arr) - 1)], self.tail)
 
     def step_degrees(self):
         return range(len(self.table) + 1)

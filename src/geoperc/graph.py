@@ -253,8 +253,15 @@ class ComponentLabeling:
 
     labels: np.ndarray
     sizes: np.ndarray
-    largest_id: int
-    largest_size: int
+
+    @property
+    def largest_id(self) -> int:
+        """The first id of the largest size, or -1 when there is no component."""
+        return int(np.argmax(self.sizes)) if self.sizes.size else -1
+
+    @property
+    def largest_size(self) -> int:
+        return int(self.sizes.max(initial=0))
 
 
 def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -316,14 +323,8 @@ def components(graph: SpatialGraph, alive) -> ComponentLabeling:
     labels = np.full(n, -1, dtype=np.int64)
     idx = alive.nonzero()[0]
     labels[idx] = rank[roots[idx]]
-    sizes = np.bincount(labels[idx])
-    if sizes.size:
-        largest_id = int(np.argmax(sizes))
-        largest_size = int(sizes[largest_id])
-    else:
-        largest_id = -1
-        largest_size = 0
-    return ComponentLabeling(labels, sizes.astype(np.int64), largest_id, largest_size)
+    # numpy 1.x bincount gives int32 on Windows
+    return ComponentLabeling(labels, np.bincount(labels[idx]).astype(np.int64))
 
 
 def _strips(graph: SpatialGraph):

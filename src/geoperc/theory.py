@@ -78,9 +78,8 @@ def critical_q(lam: float) -> float:
 
 
 def _poisson_pmf(mean: float, tol: float) -> np.ndarray:
-    """pmf[0..K] of Poisson(mean) with remaining tail mass < tol."""
-    if mean < 0:
-        raise ValueError(f"Poisson mean must be non-negative, got {mean}")
+    """pmf[0..K] of Poisson(mean) with remaining tail mass < tol; mean >= 0, as
+    every caller has checked lam."""
     terms = [math.exp(-mean)]
     if terms[0] < sys.float_info.min:
         # a subnormal exp(-mean) has lost mantissa bits, and the series its mass

@@ -9,7 +9,13 @@ from geoperc import experiments
 from geoperc.failures import apply_failures
 from geoperc.geometry import Region, generate_poisson, generate_uniform
 from geoperc.graph import build_graph, crossing_level
-from geoperc.seeding import STREAM_FAILURES, STREAM_PLACEMENT, generator_from_seed, substream
+from geoperc.seeding import (
+    STREAM_FAILURES,
+    STREAM_PLACEMENT,
+    derive_seed,
+    generator_from_seed,
+    substream,
+)
 
 hypothesis.settings.register_profile(
     "default", max_examples=25, deadline=None, derandomize=True
@@ -103,7 +109,9 @@ def bfs_crosses(graph, alive):
 
 def trial_graph(config, lam_index, trial_seed):
     """The whole graph of one harness trial, rebuilt from its trial seed."""
-    return build_graph(experiments._trial_points(config, lam_index, trial_seed), config.radius)
+    lam = config.lambdas[lam_index] if config.lambdas else 0.0
+    points = experiments.place_points(trial_seed, config.region, config.n, lam)
+    return build_graph(points, config.radius)
 
 
 def per_rule_sweep(config):
@@ -118,7 +126,8 @@ def per_rule_sweep(config):
                 generate_poisson(lam, config.region, substream(seed, STREAM_PLACEMENT)),
                 config.radius,
             ))
-            for seed in experiments.trial_seeds(config, i)
+            for seed in (derive_seed(config.base_seed, i, t, config.trials)
+                         for t in range(config.trials))
         ]
         for rule in config.rules:
             hits = 0.0

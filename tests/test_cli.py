@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import geoperc
+from geoperc import cli
 from geoperc.cli import _emit, build_parser, main
 from geoperc.cascade import distribution_to_text
 from geoperc.experiments import (
@@ -443,6 +444,8 @@ def test_cascade_condition_largest_normal_poisson_mean_evaluates(capsys):
         # past numpy's size limit: refused with a ValueError, not a MemoryError
         (["--n", "1000000000000000000"],
          r"error: out of memory: cannot place 1000000000000000000 points: "),
+        (["--n", "5", "--lambda", "1"], r"error: exactly one of --n and --lambda is required$"),
+        ([], r"error: exactly one of --n and --lambda is required$"),
     ],
 )
 def test_generate_bad_point_count_is_one_error_line(capsys, argv, pattern):
@@ -452,6 +455,16 @@ def test_generate_bad_point_count_is_one_error_line(capsys, argv, pattern):
     assert out == ""
     assert re.match(pattern, err.rstrip("\n")), err
     assert err.count("\n") == 1
+
+
+def test_memory_error_without_a_reason_is_one_bare_error_line(monkeypatch, capsys):
+    def out_of_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "place_points", out_of_memory)
+    code, out, err = run_cli(capsys, "generate", "--n", "5", "--width", "15", "--height", "15",
+                             "--seed", "1")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize(
@@ -702,6 +715,15 @@ def test_cascade_command(tmp_path, capsys):
     assert doc["rounds"][0] == [5]
     failed = np.asarray(doc["failed"], dtype=bool)
     assert failed.sum() == sum(len(r) for r in doc["rounds"])
+
+
+def test_cascade_on_graph_without_points_is_one_error_line(tmp_path, capsys):
+    path = str(tmp_path / "g.json")
+    run_cli(capsys, "generate", "--n", "0", "--width", "5", "--height", "5", "--seed", "1",
+            "--out", path)
+    code, out, err = run_cli(capsys, "cascade", "--graph", path, "--dist", "pieces:0,1,1",
+                             "--seed", "1")
+    assert (code, out, err) == (1, "", "error: cannot run a cascade on an empty graph\n")
 
 
 def test_cli_commands_replay_a_harness_trial(tmp_path, capsys):

@@ -31,7 +31,6 @@ from geoperc.experiments import (
     estimate_qc,
     run_cascade_trials,
     run_sweep,
-    trial_seeds,
 )
 from geoperc.geometry import Region, generate_poisson, generate_uniform
 from geoperc.graph import build_graph, crosses
@@ -90,17 +89,19 @@ def test_config_round_trip():
         base_seed=77,
     )
     assert config_from_dict(config_to_dict(cfg)) == cfg
-    cfg2 = config_from_dict(
-        {
-            "kind": "cascade-trial",
-            "region": {"width": 15, "height": 15},
-            "trials": 3,
-            "n": 100,
-            "count_mode": "fixed",
-            "distribution": "pieces:0,1,1",
-        }
-    )
+    doc2 = {
+        "kind": "cascade-trial",
+        "region": {"width": 15, "height": 15},
+        "trials": 3,
+        "n": 100,
+        "count_mode": "fixed",
+        "distribution": "pieces:0,1,1",
+    }
+    cfg2 = config_from_dict(doc2)
     assert cfg2.n == 100
+    # an integral JSON float reads as its int
+    assert config_from_dict({**doc2, "trials": 3.0}) == cfg2
+    assert type(config_from_dict({**doc2, "trials": 3.0}).trials) is int
     assert cfg2.distribution is not None
     assert config_from_dict(config_to_dict(cfg2)) == cfg2
     examples = sorted((pathlib.Path(__file__).resolve().parents[1] / "examples").glob("*.json"))
@@ -219,13 +220,27 @@ def test_sweep_reproducible_bit_for_bit():
     assert a == b
 
 
+def test_batch_runners_reject_the_other_kinds():
+    sweep = ExperimentConfig(kind="percolation-sweep", width=5.0, height=5.0, lambdas=(1.0,))
+    cascade = ExperimentConfig(kind="cascade-trial", width=5.0, height=5.0, n=10,
+                               count_mode="fixed", distribution=HEAVY_LOW)
+    with pytest.raises(ValueError, match="^run_sweep does not handle kind 'cascade-trial'$"):
+        run_sweep(cascade)
+    with pytest.raises(ValueError, match="^expected a cascade-trial config, got kind "
+                                         "'percolation-sweep'$"):
+        run_cascade_trials(sweep)
+
+
 def test_trial_seeds_distinct_within_sweep():
     cfg = ExperimentConfig(
         kind="percolation-sweep", width=10, height=10, lambdas=(1.0, 2.0, 3.0), trials=50,
         base_seed=9,
     )
-    seeds = [s for p in range(3) for s in trial_seeds(cfg, p)]
+    seeds = [derive_seed(cfg.base_seed, p, t, cfg.trials) for p in range(3) for t in range(50)]
     assert len(set(seeds)) == len(seeds)
+    for t in (-1, 50):
+        with pytest.raises(ValueError, match=rf"^trial_index {t} outside \[0, 50\)$"):
+            derive_seed(cfg.base_seed, 0, t, cfg.trials)
 
 
 def test_failure_sweep_monotone_in_rule():
@@ -552,8 +567,8 @@ def _builds_per_trial(run):
     every graph the trial built, in trial order."""
     trials = []
 
-    def placing_trial_points(*args):
-        points = trial_points(*args)
+    def counting_place_points(*args):
+        points = place_points(*args)
         trials.append((len(points), []))
         return points
 
@@ -561,9 +576,9 @@ def _builds_per_trial(run):
         trials[-1][1].append(len(points))
         return build_graph(points, radius)
 
-    trial_points = experiments._trial_points
+    place_points = experiments.place_points
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiments, "_trial_points", placing_trial_points)
+        patch.setattr(experiments, "place_points", counting_place_points)
         patch.setattr(experiments, "build_graph", counting_build_graph)
         patch.setattr(experiments, "_worker_count", lambda trials: 1)  # count every trial here
         result = run()
@@ -594,7 +609,8 @@ def _assert_survivor_search_matches_full_graph(config: ExperimentConfig) -> Coun
     q_star, trials = _builds_per_trial(lambda: _trial_critical_qs(config))
     floored = config.lambdas[0] * config.radius**2 > experiments._SURVIVOR_DENSITY
     branches = Counter()
-    for seed, q, (placed, built) in zip(trial_seeds(config, 0), q_star, trials, strict=True):
+    seeds = [derive_seed(config.base_seed, 0, t, config.trials) for t in range(config.trials)]
+    for seed, q, (placed, built) in zip(seeds, q_star, trials, strict=True):
         graph = trial_graph(config, 0, seed)
         assert q == whole_graph_critical_q(graph, substream(seed, STREAM_FAILURES)), (seed, q)
         if not floored:

@@ -366,6 +366,7 @@ class TestCircuits:
 
     def test_unit_square_is_unique_shortest(self):
         assert count_circuits_of_length(4) == 1
+        assert [count_circuits_of_length(length) for length in range(4)] == [0, 0, 0, 0]
 
     def test_counts_within_bounds(self):
         for m in range(2, 6):

@@ -18,6 +18,7 @@ from geoperc.experiments import (
     run_sweep,
 )
 from geoperc.failures import IndependentFailure, ThresholdAttack
+from geoperc.seeding import derive_seed
 
 from test_acceptance import HEAVY_LOW
 from test_benchmark_hooks import workloads
@@ -76,6 +77,27 @@ def test_trial_t_runs_in_worker_t_mod_w(monkeypatch):
     assert len({pids[1], pids[2], os.getpid()}) == 3
     assert pids[1::3] == [pids[1]] * 6 and pids[2::3] == [pids[2]] * 5
     _assert_no_child_left()
+
+
+def test_trial_seeds_are_derived_as_the_trials_run(monkeypatch):
+    # a batch holds no list of its seeds: a failing first trial surfaces after
+    # one seed is derived, however many trials the batch has
+    _split_into(monkeypatch, 1)
+    derived = []
+
+    def counting_derive_seed(*args):
+        derived.append(args)
+        return derive_seed(*args)
+
+    def evaluate(seed, points):
+        raise ValueError("first trial")
+
+    monkeypatch.setattr(experiments, "derive_seed", counting_derive_seed)
+    config = ExperimentConfig(kind="percolation-sweep", width=5.0, height=5.0,
+                              lambdas=(1.0,), trials=10**5)
+    with pytest.raises(ValueError, match="^first trial$"):
+        _over_trials(config, 0, evaluate)
+    assert derived == [(0, 0, 0, 10**5)]
 
 
 def test_worker_count_follows_affinity_and_batch_size(monkeypatch):
