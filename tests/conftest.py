@@ -121,14 +121,11 @@ def per_rule_sweep(config):
     indicator implied by another's."""
     points = []
     for i, lam in enumerate(config.lambdas):
-        graphs = [
-            (seed, build_graph(
-                generate_poisson(lam, config.region, substream(seed, STREAM_PLACEMENT)),
-                config.radius,
-            ))
-            for seed in (derive_seed(config.base_seed, i, t, config.trials)
-                         for t in range(config.trials))
-        ]
+        graphs = []
+        for t in range(config.trials):
+            seed = derive_seed(config.base_seed, i, t, config.trials)
+            placed = generate_poisson(lam, config.region, substream(seed, STREAM_PLACEMENT))
+            graphs.append((seed, build_graph(placed, config.radius)))
         for rule in config.rules:
             hits = 0.0
             for seed, graph in graphs:
